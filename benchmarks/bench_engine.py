@@ -44,7 +44,12 @@ perf trajectory of the replay core is tracked in version control.
 A second, columnar four-way follows: the batch-kernel grid (LRU / FIFO /
 CLOCK plus the hint-aware and adaptive kernels added since — ARC, CAR and
 CLIC) is swept four ways over the same cached binary trace — object serial,
-object ``jobs=N``, columnar serial, columnar ``jobs=N`` — with two gates:
+object ``jobs=N``, columnar serial, columnar ``jobs=N`` — with two gates.
+The "object" rows run the engine's reference mode (``columnar=False``:
+the scalar ``access()`` loop and per-outcome observer folds inside the
+same chunked replay loop); the "columnar" rows run the fused batch
+kernels and observers (``columnar=True``).  The row names are kept so the
+``BENCH_9.json`` trajectory stays comparable.
 
 * **columnar identity** — all four paths must produce identical per-point
   hit/miss stats: the columnar path is a pure fast path, never a fork;
@@ -195,7 +200,7 @@ def _time_paths(spec, cells, paths, repeat):
 
 
 def columnar_four_way(spec, cache_sizes, policies, jobs, repeat):
-    """Sweep the batch-kernel grid object/columnar x serial/jobs=N.
+    """Sweep the batch-kernel grid reference/fused x serial/jobs=N.
 
     Returns ``(timings, sweeps)``: best-of-*repeat* seconds and the
     :class:`SweepResult` per path, all replayed from the same cached binary
@@ -211,7 +216,7 @@ def columnar_four_way(spec, cache_sizes, policies, jobs, repeat):
 
 
 def columnar_serial_pair(spec, cache_sizes, policies, repeat):
-    """Time object-serial vs columnar-serial over a (sub)grid.
+    """Time reference-serial vs fused-serial over a (sub)grid.
 
     Used for the core LRU/FIFO/CLOCK subset, whose speedup is gated
     separately from the full grid (see module docstring).
@@ -451,7 +456,7 @@ def main(argv=None) -> int:
               f"threshold for {cpus} CPU(s)")
         ok = False
     if not columnar_identical:
-        print("FAIL: columnar path diverged from the object path")
+        print("FAIL: fused (columnar) replay diverged from the reference (object)")
         ok = False
     if columnar_speedup < args.columnar_gate:
         print(f"FAIL: columnar serial speedup {columnar_speedup:.2f}x below "

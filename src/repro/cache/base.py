@@ -21,14 +21,12 @@ import abc
 import copy
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any, Iterable, Mapping, Sequence
 
 from typing import TYPE_CHECKING
 
-try:  # optional acceleration for the batch kernel path
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-less installs
-    _np = None
+import numpy as np
 
 if TYPE_CHECKING:  # imported for type annotations only (avoids an import cycle)
     from repro.simulation.request import IORequest
@@ -170,34 +168,14 @@ class AccessOutcomeBatch:
     @classmethod
     def from_outcomes(cls, outcomes: Sequence[AccessOutcome]) -> "AccessOutcomeBatch":
         """Lift a scalar outcome list into a batch (memoising the list)."""
-        if _np is None:  # pragma: no cover - batch paths require numpy
-            raise RuntimeError("AccessOutcomeBatch requires numpy")
         n = len(outcomes)
-        hit = _np.fromiter((outcome.hit for outcome in outcomes), _np.bool_, n)
-        admitted = _np.fromiter(
-            (outcome.admitted for outcome in outcomes), _np.bool_, n
-        )
-        bypassed = _np.fromiter(
-            (outcome.bypassed for outcome in outcomes), _np.bool_, n
-        )
-        offsets = _np.zeros(n + 1, _np.int64)
-        _np.cumsum(
-            _np.fromiter((len(outcome.evicted) for outcome in outcomes), _np.int64, n),
-            out=offsets[1:],
-        )
-        total = int(offsets[-1])
-        if total:
-            pages = _np.fromiter(
-                (
-                    page
-                    for outcome in outcomes
-                    for page in outcome.evicted
-                ),
-                _np.int64,
-                total,
-            )
-        else:
-            pages = _np.zeros(0, _np.int64)
+        hit = np.fromiter([outcome.hit for outcome in outcomes], np.bool_, n)
+        admitted = np.fromiter([outcome.admitted for outcome in outcomes], np.bool_, n)
+        bypassed = np.fromiter([outcome.bypassed for outcome in outcomes], np.bool_, n)
+        evicted = [outcome.evicted for outcome in outcomes]
+        offsets = np.zeros(n + 1, np.int64)
+        np.cumsum(np.fromiter(map(len, evicted), np.int64, n), out=offsets[1:])
+        pages = np.fromiter(chain.from_iterable(evicted), np.int64, int(offsets[-1]))
         batch = cls(hit, admitted, bypassed, pages, offsets)
         batch._outcomes = list(outcomes)
         return batch
@@ -236,19 +214,17 @@ def _admit_batch(
     bypassed, and request ``evict_pos[k]`` evicted page ``evicted[k]`` (at
     most one eviction per access).
     """
-    if _np is None:  # pragma: no cover - batch paths require numpy
-        raise RuntimeError("AccessOutcomeBatch requires numpy")
     n = len(hit_flags)
-    hit = _np.frombuffer(bytes(hit_flags), dtype=_np.bool_)
-    bypassed = _np.zeros(n, _np.bool_)
-    offsets = _np.zeros(n + 1, _np.int64)
+    hit = np.frombuffer(bytes(hit_flags), dtype=np.bool_)
+    bypassed = np.zeros(n, np.bool_)
+    offsets = np.zeros(n + 1, np.int64)
     if evicted:
-        counts = _np.zeros(n, _np.int64)
+        counts = np.zeros(n, np.int64)
         counts[evict_pos] = 1
-        _np.cumsum(counts, out=offsets[1:])
-        pages = _np.array(evicted, _np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        pages = np.array(evicted, np.int64)
     else:
-        pages = _np.zeros(0, _np.int64)
+        pages = np.zeros(0, np.int64)
     return AccessOutcomeBatch(hit, ~hit, bypassed, pages, offsets)
 
 
@@ -264,34 +240,30 @@ def _mixed_batch(
     Explicit 0/1 flags per request for hit/admitted/bypassed, plus at most
     one eviction per access (``evict_pos[k]`` evicted ``evicted[k]``).
     """
-    if _np is None:  # pragma: no cover - batch paths require numpy
-        raise RuntimeError("AccessOutcomeBatch requires numpy")
     n = len(hit_flags)
-    hit = _np.frombuffer(bytes(hit_flags), dtype=_np.bool_)
-    admitted = _np.frombuffer(bytes(admit_flags), dtype=_np.bool_)
-    bypassed = _np.frombuffer(bytes(bypass_flags), dtype=_np.bool_)
-    offsets = _np.zeros(n + 1, _np.int64)
+    hit = np.frombuffer(bytes(hit_flags), dtype=np.bool_)
+    admitted = np.frombuffer(bytes(admit_flags), dtype=np.bool_)
+    bypassed = np.frombuffer(bytes(bypass_flags), dtype=np.bool_)
+    offsets = np.zeros(n + 1, np.int64)
     if evicted:
-        counts = _np.zeros(n, _np.int64)
+        counts = np.zeros(n, np.int64)
         counts[evict_pos] = 1
-        _np.cumsum(counts, out=offsets[1:])
-        pages = _np.array(evicted, _np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        pages = np.array(evicted, np.int64)
     else:
-        pages = _np.zeros(0, _np.int64)
+        pages = np.zeros(0, np.int64)
     return AccessOutcomeBatch(hit, admitted, bypassed, pages, offsets)
 
 
 def _all_hit_batch(n: int) -> AccessOutcomeBatch:
     """Assemble the batch for a chunk where every request hit (no state
     change other than recency/reference updates)."""
-    if _np is None:  # pragma: no cover - batch paths require numpy
-        raise RuntimeError("AccessOutcomeBatch requires numpy")
     return AccessOutcomeBatch(
-        _np.ones(n, _np.bool_),
-        _np.zeros(n, _np.bool_),
-        _np.zeros(n, _np.bool_),
-        _np.zeros(0, _np.int64),
-        _np.zeros(n + 1, _np.int64),
+        np.ones(n, np.bool_),
+        np.zeros(n, np.bool_),
+        np.zeros(n, np.bool_),
+        np.zeros(0, np.int64),
+        np.zeros(n + 1, np.int64),
     )
 
 

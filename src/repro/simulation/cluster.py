@@ -39,10 +39,7 @@ import abc
 import copy
 from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence
 
-try:  # optional acceleration for the columnar replay path
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-less installs
-    _np = None
+import numpy as np
 
 from repro.cache.base import AccessOutcome, AccessOutcomeBatch, CachePolicy
 from repro.cache.opt import OPTPolicy
@@ -98,9 +95,9 @@ class ShardRouter(abc.ABC):
         vectorises.
         """
         route = self.route
-        return _np.fromiter(
+        return np.fromiter(
             (route(request) for request in chunk.requests()),
-            _np.int64,
+            np.int64,
             len(chunk),
         )
 
@@ -140,13 +137,13 @@ class HashRouter(ShardRouter):
     def route_batch(self, chunk: "ColumnarChunk") -> Any:
         # The wrapping uint64 pipeline is exact — identical to the scalar
         # _mix_page — so vector and scalar routing always agree.
-        pages = chunk.page.astype(_np.uint64)
-        pages ^= pages >> _np.uint64(33)
-        pages *= _np.uint64(0xFF51AFD7ED558CCD)
-        pages ^= pages >> _np.uint64(33)
-        pages *= _np.uint64(0xC4CEB9FE1A85EC53)
-        pages ^= pages >> _np.uint64(33)
-        return (pages % _np.uint64(self.shards)).astype(_np.int64)
+        pages = chunk.page.astype(np.uint64)
+        pages ^= pages >> np.uint64(33)
+        pages *= np.uint64(0xFF51AFD7ED558CCD)
+        pages ^= pages >> np.uint64(33)
+        pages *= np.uint64(0xC4CEB9FE1A85EC53)
+        pages ^= pages >> np.uint64(33)
+        return (pages % np.uint64(self.shards)).astype(np.int64)
 
 
 class PageRangeRouter(ShardRouter):
@@ -183,7 +180,7 @@ class PageRangeRouter(ShardRouter):
             return ShardRouter.route_batch(self, chunk)
         # numpy's int64 floor division rounds toward -inf exactly like
         # Python's //, so clamping matches the scalar branches.
-        return _np.clip(page * self.shards // self.span, 0, self.shards - 1)
+        return np.clip(page * self.shards // self.span, 0, self.shards - 1)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PageRangeRouter(shards={self.shards}, span={self.span})"
@@ -221,7 +218,7 @@ class ClientAffinityRouter(ShardRouter):
         assignments = self._assignments
         clients = chunk.clients
         shards = self.shards
-        out = _np.empty(len(chunk), _np.int64)
+        out = np.empty(len(chunk), np.int64)
         for i, cidx in enumerate(chunk.client_idx.tolist()):
             client_id = clients[cidx]
             shard = assignments.get(client_id)
@@ -348,29 +345,29 @@ class ShardedCache(CachePolicy):
             return base(self, chunk)
         shard_ids = self._router.route_batch(chunk)
         n = len(chunk)
-        hit = _np.zeros(n, _np.bool_)
-        admitted = _np.zeros(n, _np.bool_)
-        bypassed = _np.zeros(n, _np.bool_)
-        counts = _np.zeros(n, _np.int64)
+        hit = np.zeros(n, np.bool_)
+        admitted = np.zeros(n, np.bool_)
+        bypassed = np.zeros(n, np.bool_)
+        counts = np.zeros(n, np.int64)
         evicting: list[tuple[Any, AccessOutcomeBatch]] = []
         for s, shard in enumerate(self._shards):
-            idx = _np.flatnonzero(shard_ids == s)
+            idx = np.flatnonzero(shard_ids == s)
             if not idx.size:
                 continue
             batch = shard.batch_access(chunk.take(idx))
             hit[idx] = batch.hit
             admitted[idx] = batch.admitted
             bypassed[idx] = batch.bypassed
-            counts[idx] = _np.diff(batch.evicted_offsets)
+            counts[idx] = np.diff(batch.evicted_offsets)
             if batch.eviction_count:
                 evicting.append((idx, batch))
-        offsets = _np.zeros(n + 1, _np.int64)
-        _np.cumsum(counts, out=offsets[1:])
-        pages = _np.zeros(int(offsets[-1]), _np.int64)
+        offsets = np.zeros(n + 1, np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        pages = np.zeros(int(offsets[-1]), np.int64)
         for idx, batch in evicting:
             sub_offsets = batch.evicted_offsets
-            sub_counts = _np.diff(sub_offsets)
-            for local in _np.flatnonzero(sub_counts).tolist():
+            sub_counts = np.diff(sub_offsets)
+            for local in np.flatnonzero(sub_counts).tolist():
                 request_i = int(idx[local])
                 start = int(offsets[request_i])
                 sub_start = int(sub_offsets[local])

@@ -9,9 +9,16 @@ observer over the outcome stream, attached by the single replay orchestrator
 
 The observer contract (:class:`ReplayObserver`):
 
+* :meth:`~ReplayObserver.on_batch` — fold one columnar chunk and the
+  policy's batched outcomes.  This is the engine's hook: every chunk of
+  every replay reaches every observer through it.
 * :meth:`~ReplayObserver.on_outcome` — fold one ``(request, seq, outcome)``
-  event; the replay loop prefers the batched :meth:`~ReplayObserver
-  .on_chunk`, which observers override with fused loops for hot-path speed.
+  event.  This is the reference definition of what an observer counts;
+  the default ``on_batch`` materialises the chunk and folds it event by
+  event (via :meth:`~ReplayObserver.on_chunk`), so a batch-native
+  ``on_batch`` override must produce exactly what ``on_outcome`` would.
+  The engine's ``columnar=False`` mode runs every observer through that
+  default, which is how the overrides are checked.
 * :meth:`~ReplayObserver.on_chunk_end` — the loop crossed a chunk boundary
   at sequence number ``seq_end`` (exclusive).  Observers declaring a
   :attr:`~ReplayObserver.boundary_interval` are guaranteed a call at every
@@ -23,7 +30,7 @@ The observer contract (:class:`ReplayObserver`):
   destructive: safe to call more than once.
 
 Writing an observer: subclass :class:`ReplayObserver`, implement
-``on_outcome`` (override ``on_chunk`` only if profiling says so), ``merge``
+``on_outcome`` (override ``on_batch`` only if profiling says so), ``merge``
 and ``finalize``, then attach instances via the simulators'
 ``observer_factories`` hook.  Observers must not call back into the policy's
 ``access`` and must not mutate requests or outcomes — many observers share
@@ -35,10 +42,7 @@ from __future__ import annotations
 import abc
 from typing import TYPE_CHECKING, Sequence
 
-try:  # optional acceleration; on_batch is only reachable with numpy present
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-less installs
-    _np = None
+import numpy as np
 
 from repro.cache.base import AccessOutcome, CacheStats
 
@@ -87,11 +91,11 @@ class ReplayObserver(abc.ABC):
             seq += 1
 
     def on_batch(self, chunk: "ColumnarChunk", batch: "AccessOutcomeBatch") -> None:
-        """Fold one columnar chunk of batched outcomes (the columnar replay
-        path's analogue of :meth:`on_chunk`).  Default: materialise the
-        chunk's requests and the batch's scalar outcomes and delegate — so
-        any observer is columnar-correct out of the box; batch-native
-        overrides are purely a performance fast path."""
+        """Fold one columnar chunk of batched outcomes (the engine's hook).
+        Default — the reference: materialise the chunk's requests and the
+        batch's scalar outcomes and fold them through :meth:`on_chunk`, so
+        any observer is correct out of the box; batch-native overrides are
+        purely a performance fast path."""
         self.on_chunk(chunk.requests(), chunk.seq_base, batch.outcomes())
 
     def on_chunk_end(self, seq_end: int) -> None:
@@ -111,9 +115,7 @@ class StatsObserver(ReplayObserver):
 
     One counting rule for every policy: requests/hits split by read/write,
     one admission per ``outcome.admitted``, one bypass per
-    ``outcome.bypassed``, ``len(outcome.evicted)`` evictions.  The counters
-    are public attributes so the replay loop can snapshot per-client totals
-    without paying a :class:`CacheStats` allocation mid-run.
+    ``outcome.bypassed``, ``len(outcome.evicted)`` evictions.
     """
 
     __slots__ = (
@@ -151,49 +153,19 @@ class StatsObserver(ReplayObserver):
         if outcome.evicted:
             self.evictions += len(outcome.evicted)
 
-    def on_chunk(
-        self,
-        requests: Sequence[IORequest],
-        seq_base: int,
-        outcomes: Sequence[AccessOutcome],
-    ) -> None:
-        # Fused local-counter loop: this runs once per policy per chunk and
-        # is the whole accounting cost of the stats-only replay path.
-        rr = rh = wr = wh = ev = adm = byp = 0
-        for request, outcome in zip(requests, outcomes):
-            if request.is_read:
-                rr += 1
-                if outcome.hit:
-                    rh += 1
-            elif outcome.hit:
-                wh += 1
-            if outcome.admitted:
-                adm += 1
-            if outcome.bypassed:
-                byp += 1
-            if outcome.evicted:
-                ev += len(outcome.evicted)
-        self.read_requests += rr
-        self.read_hits += rh
-        self.write_requests += len(requests) - rr
-        self.write_hits += wh
-        self.evictions += ev
-        self.admissions += adm
-        self.bypasses += byp
-
     def on_batch(self, chunk: "ColumnarChunk", batch: "AccessOutcomeBatch") -> None:
         # Batch-native: whole-column popcounts replace the per-outcome loop.
         write = chunk.write
         hit = batch.hit
-        wr = int(_np.count_nonzero(write))
-        wh = int(_np.count_nonzero(hit & write))
+        wr = int(np.count_nonzero(write))
+        wh = int(np.count_nonzero(hit & write))
         self.read_requests += len(chunk) - wr
-        self.read_hits += int(_np.count_nonzero(hit)) - wh
+        self.read_hits += int(np.count_nonzero(hit)) - wh
         self.write_requests += wr
         self.write_hits += wh
         self.evictions += batch.eviction_count
-        self.admissions += int(_np.count_nonzero(batch.admitted))
-        self.bypasses += int(_np.count_nonzero(batch.bypassed))
+        self.admissions += int(np.count_nonzero(batch.admitted))
+        self.bypasses += int(np.count_nonzero(batch.bypassed))
 
     def merge(self, other: "StatsObserver") -> None:
         self.read_requests += other.read_requests
@@ -237,17 +209,6 @@ class ShardStatsObserver(ReplayObserver):
     def on_outcome(self, request: IORequest, seq: int, outcome: AccessOutcome) -> None:
         self._shards[self._route(request)].record_outcome(request, outcome)
 
-    def on_chunk(
-        self,
-        requests: Sequence[IORequest],
-        seq_base: int,
-        outcomes: Sequence[AccessOutcome],
-    ) -> None:
-        route = self._route
-        shards = self._shards
-        for request, outcome in zip(requests, outcomes):
-            shards[route(request)].record_outcome(request, outcome)
-
     def on_batch(self, chunk: "ColumnarChunk", batch: "AccessOutcomeBatch") -> None:
         # Batch-native: re-route the whole chunk with the router's column
         # kernel (post-access, so stateful routers resolve to pure lookups),
@@ -257,20 +218,20 @@ class ShardStatsObserver(ReplayObserver):
         hit = batch.hit
         admitted = batch.admitted
         bypassed = batch.bypassed
-        eviction_counts = _np.diff(batch.evicted_offsets)
+        eviction_counts = np.diff(batch.evicted_offsets)
         for s, stats in enumerate(self._shards):
             mask = shard_ids == s
-            total = int(_np.count_nonzero(mask))
+            total = int(np.count_nonzero(mask))
             if not total:
                 continue
-            wr = int(_np.count_nonzero(mask & write))
-            wh = int(_np.count_nonzero(hit & mask & write))
+            wr = int(np.count_nonzero(mask & write))
+            wh = int(np.count_nonzero(hit & mask & write))
             stats.read_requests += total - wr
-            stats.read_hits += int(_np.count_nonzero(hit & mask)) - wh
+            stats.read_hits += int(np.count_nonzero(hit & mask)) - wh
             stats.write_requests += wr
             stats.write_hits += wh
-            stats.admissions += int(_np.count_nonzero(admitted & mask))
-            stats.bypasses += int(_np.count_nonzero(bypassed & mask))
+            stats.admissions += int(np.count_nonzero(admitted & mask))
+            stats.bypasses += int(np.count_nonzero(bypassed & mask))
             stats.evictions += int(eviction_counts[mask].sum())
 
     def merge(self, other: "ShardStatsObserver") -> None:
@@ -338,8 +299,8 @@ class CostObserver(ReplayObserver):
             # Position-independent pricing: fold whole-chunk class counts.
             write = chunk.write
             hit = batch.hit
-            writes = int(_np.count_nonzero(write))
-            read_hits = int(_np.count_nonzero(hit & ~write))
+            writes = int(np.count_nonzero(write))
+            read_hits = int(np.count_nonzero(hit & ~write))
             accumulator.charge_counts(
                 read_hits, len(chunk) - writes - read_hits, writes
             )
@@ -429,50 +390,10 @@ class RollingObserver(ReplayObserver):
             counts[4] += len(outcome.evicted)
         self._seq = seq + 1
 
-    def on_chunk(
-        self,
-        requests: Sequence[IORequest],
-        seq_base: int,
-        outcomes: Sequence[AccessOutcome],
-    ) -> None:
-        # The replay loop aligns chunks to ``boundary_interval``, so the
-        # outer loop normally runs exactly once; chunks from a direct driver
-        # may straddle boundaries and are split here.
-        window = self._window
-        length = len(requests)
-        offset = 0
-        while offset < length:
-            seq = seq_base + offset
-            boundary = seq - (seq % window)
-            if boundary > self._start:
-                self._close(boundary)
-            take = min(window - (seq % window), length - offset)
-            rr = rh = wr = wh = ev = 0
-            for index in range(offset, offset + take):
-                request = requests[index]
-                outcome = outcomes[index]
-                if request.is_read:
-                    rr += 1
-                    if outcome.hit:
-                        rh += 1
-                else:
-                    wr += 1
-                    if outcome.hit:
-                        wh += 1
-                if outcome.evicted:
-                    ev += len(outcome.evicted)
-            counts = self._counts
-            counts[0] += rr
-            counts[1] += rh
-            counts[2] += wr
-            counts[3] += wh
-            counts[4] += ev
-            offset += take
-            self._seq = seq + take
-
     def on_batch(self, chunk: "ColumnarChunk", batch: "AccessOutcomeBatch") -> None:
-        # Batch-native: the same window segmentation as on_chunk, with each
-        # segment folded by column popcounts instead of a per-request loop.
+        # Batch-native: the chunk is cut at window boundaries (the engine
+        # aligns chunks to them, direct drivers may not) and each segment is
+        # folded by column popcounts.
         window = self._window
         length = len(chunk)
         write = chunk.write
@@ -489,11 +410,11 @@ class RollingObserver(ReplayObserver):
             end = offset + take
             write_seg = write[offset:end]
             hit_seg = hit[offset:end]
-            wr = int(_np.count_nonzero(write_seg))
-            wh = int(_np.count_nonzero(hit_seg & write_seg))
+            wr = int(np.count_nonzero(write_seg))
+            wh = int(np.count_nonzero(hit_seg & write_seg))
             counts = self._counts
             counts[0] += take - wr
-            counts[1] += int(_np.count_nonzero(hit_seg)) - wh
+            counts[1] += int(np.count_nonzero(hit_seg)) - wh
             counts[2] += wr
             counts[3] += wh
             counts[4] += int(offsets[end] - offsets[offset])

@@ -15,8 +15,8 @@ and arrival-ordered admission, each arrival is resolved by the Lindley
 recursion ``start = max(arrival, earliest_free_server)``.  All event
 arithmetic runs on an **integer nanosecond** clock: integer addition and
 ``max`` are exact and associative, so totals never depend on chunk
-boundaries, worker counts, or whether the vectorised fast path below is
-taken — results are bit-identical across processes and ``jobs=`` counts
+boundaries, worker counts, or whether the vectorised pass below is taken —
+results are bit-identical across processes and ``jobs=`` counts
 by construction, not by accumulation-order discipline.
 
 Two accounting identities replace per-event integral bookkeeping: the
@@ -25,13 +25,14 @@ exactly, and the integral cut at the last arrival ``T`` (the ``L``
 numerator of Little's law) is ``sum(sojourn_i) - sum(max(0, d_i - T))``
 over departure times ``d_i`` — so the hot loop only records departures.
 
-When numpy is available, single-server position-independent replays (the
-whole default ``load`` sweep) run the Lindley recursion vectorised per
-chunk: with service prefix sums ``S_i`` the recursion unrolls to
+Single-server position-independent replays (the whole default ``load``
+sweep) fed through ``on_batch`` run the Lindley recursion vectorised: with
+service prefix sums ``S_i`` the recursion unrolls to
 ``depart_i = S_i + max(busy_0, max_{j<=i}(t_j - S_{j-1}))`` — a cumsum
-plus a running maximum, exact in ``int64``.  The scalar fallback produces
-the same integers bit for bit; numpy is an accelerator, never a
-dependency.
+plus a running maximum, exact in ``int64``.  The scalar per-event walk
+(``on_chunk``/``on_outcome``, and ``on_batch`` for seek devices and
+multi-server shards) is the reference and produces the same integers bit
+for bit.
 
 It is packaged as a :class:`ReplayObserver` (:class:`QueueingObserver`):
 the replay loop feeds it the outcome stream, it prices each outcome with
@@ -60,10 +61,7 @@ from dataclasses import dataclass, field, replace
 from heapq import heapreplace
 from typing import TYPE_CHECKING, Any, Sequence
 
-try:  # optional acceleration; the scalar path is bit-identical
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-less installs
-    _np = None
+import numpy as np
 
 from repro.simulation.costmodel import (
     HISTOGRAM_BUCKET_BOUNDS_US,
@@ -95,7 +93,7 @@ _LAST_BUCKET = len(HISTOGRAM_BUCKET_BOUNDS_US) - 1
 _BOUNDS_NS: tuple[int, ...] = tuple(
     int(bound * 1000.0 + 0.5) for bound in HISTOGRAM_BUCKET_BOUNDS_US
 )
-_BOUNDS_NS_ARRAY = None if _np is None else _np.array(_BOUNDS_NS, dtype=_np.int64)
+_BOUNDS_NS_ARRAY = np.array(_BOUNDS_NS, dtype=np.int64)
 
 #: Throwaway requests used to probe a device's constant price classes.
 _PROBE_READ = read_request(page=0)
@@ -379,116 +377,60 @@ class QueueingModel:
 def _mix_column(pages: Any) -> Any:
     """Murmur-mix a ``uint64`` page column (exactly the scalar ``_mix_page``
     pipeline of :class:`~repro.simulation.cluster.HashRouter`, wrapping)."""
-    pages = (pages ^ (pages >> _np.uint64(33))) * _np.uint64(0xFF51AFD7ED558CCD)
-    pages = (pages ^ (pages >> _np.uint64(33))) * _np.uint64(0xC4CEB9FE1A85EC53)
-    return pages ^ (pages >> _np.uint64(33))
+    pages = (pages ^ (pages >> np.uint64(33))) * np.uint64(0xFF51AFD7ED558CCD)
+    pages = (pages ^ (pages >> np.uint64(33))) * np.uint64(0xC4CEB9FE1A85EC53)
+    return pages ^ (pages >> np.uint64(33))
 
 
 class _ArrivalTape:
-    """Per-run cache of each chunk's arrival/request columns.
+    """Per-run cache of each chunk's arrival column.
 
     The replay engine feeds every policy the same chunks in sequence, so
     all :class:`QueueingObserver` instances of one run share one arrival
-    clock: the first observer to see a chunk materialises its columns —
-    arrival timestamps on the integer nanosecond clock, plus which
-    requests are reads — and the rest reuse them.  Sequence-indexed
-    arrival processes make the sharing exact; observers created without
-    an explicit tape get a private one and behave identically.
+    clock: the first observer to see a chunk draws its arrival timestamps
+    on the integer nanosecond clock, and the rest reuse them.
+    Sequence-indexed arrival processes make the sharing exact; observers
+    created without an explicit tape get a private one and behave
+    identically.
     """
 
-    __slots__ = (
-        "_times",
-        "_next_seq",
-        "_chunk_seq",
-        "_arrivals_ns",
-        "_reads",
-        "_mixed_pages",
-    )
+    __slots__ = ("_times", "_next_seq", "_chunk_seq", "_arrivals_ns", "_mixed_pages")
 
     def __init__(self, arrivals: ArrivalProcess, start_seq: int = 0):
         self._times = arrivals.times(start_seq)
         self._next_seq = start_seq
         self._chunk_seq = -1
-        self._arrivals_ns: "Sequence[int] | None" = None
-        self._reads: "Sequence[bool] | None" = None
-        self._mixed_pages = None
+        self._arrivals_ns: Any = None
+        self._mixed_pages: Any = None
 
-    def columns(
-        self, seq_base: int, requests: Sequence["IORequest"]
-    ) -> tuple[Sequence[int], Sequence[bool]]:
-        n = len(requests)
+    def arrivals_ns(self, seq_base: int, n: int) -> Any:
+        """The ``int64`` arrival column of the chunk ``[seq_base, seq_base+n)``."""
         if seq_base == self._chunk_seq and len(self._arrivals_ns) == n:
-            return self._arrivals_ns, self._reads
+            return self._arrivals_ns
         if seq_base != self._next_seq:
             raise ValueError(
                 "observers sharing an arrival tape must consume identical "
                 f"chunks in order (expected seq {self._next_seq}, got {seq_base})"
             )
-        read = RequestKind.READ
-        if _np is not None:
-            # Elementwise multiply/add then truncate: per value exactly
-            # ``int(t * 1000.0 + 0.5)``, the scalar conversion below.
-            times_us = _np.fromiter(self._times, _np.float64, n)
-            arrivals_ns = (times_us * 1000.0 + 0.5).astype(_np.int64)
-            reads = _np.fromiter(
-                (request.kind is read for request in requests), _np.bool_, n
-            )
-        else:
-            next_time = self._times.__next__
-            arrivals_ns = [int(next_time() * 1000.0 + 0.5) for _ in range(n)]
-            reads = [request.kind is read for request in requests]
-        self._arrivals_ns = arrivals_ns
-        self._reads = reads
+        # Elementwise multiply/add then truncate: per value exactly
+        # ``int(t * 1000.0 + 0.5)`` (:func:`_to_ns`).
+        times_us = np.fromiter(self._times, np.float64, n)
+        self._arrivals_ns = (times_us * 1000.0 + 0.5).astype(np.int64)
         self._mixed_pages = None
         self._chunk_seq = seq_base
         self._next_seq = seq_base + n
-        return arrivals_ns, reads
+        return self._arrivals_ns
 
-    def columns_columnar(self, chunk: "ColumnarChunk") -> tuple[Any, Any]:
-        """Columnar twin of :meth:`columns`: arrivals from the same shared
-        clock, reads straight off the chunk's write column — no request
-        objects.  One run may mix both flavours on the same chunk (the
-        engine dispatches per policy), so the per-chunk cache is shared:
-        whichever flavour sees the chunk first materialises, the values are
-        identical either way."""
-        n = len(chunk)
-        seq_base = chunk.seq_base
-        if seq_base == self._chunk_seq and len(self._arrivals_ns) == n:
-            return self._arrivals_ns, self._reads
-        if seq_base != self._next_seq:
-            raise ValueError(
-                "observers sharing an arrival tape must consume identical "
-                f"chunks in order (expected seq {self._next_seq}, got {seq_base})"
-            )
-        times_us = _np.fromiter(self._times, _np.float64, n)
-        arrivals_ns = (times_us * 1000.0 + 0.5).astype(_np.int64)
-        reads = ~chunk.write
-        self._arrivals_ns = arrivals_ns
-        self._reads = reads
-        self._mixed_pages = None
-        self._chunk_seq = seq_base
-        self._next_seq = seq_base + n
-        return arrivals_ns, reads
-
-    def mixed_pages(self, requests: Sequence["IORequest"]) -> Any:
+    def mixed_pages(self, chunk: "ColumnarChunk") -> Any:
         """The murmur-mixed page ids of the current chunk (``uint64``).
 
         :class:`~repro.simulation.cluster.HashRouter` routes via
         ``mix(page) % shards``; the mix is shard-count-independent, so one
         shared column serves every hash-routed cluster in the run.  The
         wrapping uint64 pipeline is exact — identical to the scalar
-        ``_mix_page`` — and only the numpy fast path calls this."""
+        ``_mix_page``."""
         if self._mixed_pages is None:
-            pages = _np.fromiter(
-                (request.page for request in requests), _np.uint64, len(requests)
-            )
-            self._mixed_pages = _mix_column(pages)
-        return self._mixed_pages
-
-    def mixed_pages_columnar(self, chunk: "ColumnarChunk") -> Any:
-        """Columnar twin of :meth:`mixed_pages` (same shared cache)."""
-        if self._mixed_pages is None:
-            self._mixed_pages = _mix_column(chunk.page.astype(_np.uint64))
+            self._mixed_pages = _mix_column(chunk.page.astype(np.uint64))
         return self._mixed_pages
 
 
@@ -517,8 +459,8 @@ class _MultiServerQueue:
     """One FCFS shard with ``c`` servers: min-heap of busy-until times.
 
     Arrivals are assigned to the earliest-free server in arrival order
-    (G/G/c FCFS).  Always the scalar path — multi-server recursions do
-    not unroll into prefix scans — so numpy presence cannot matter.
+    (G/G/c FCFS).  Always the scalar walk: multi-server recursions do not
+    unroll into prefix scans.
     """
 
     __slots__ = ("servers", "busy")
@@ -548,9 +490,11 @@ class QueueingObserver(ReplayObserver):
 
     Position-independent devices price by outcome class, so their service
     times come from three probed constants; seek devices (HDD) price each
-    event through this observer's own per-shard cost accumulators.  With
-    numpy available, single-server constant-price replays take the
-    vectorised chunk path; both paths produce identical integers.
+    event through this observer's own per-shard cost accumulators.
+    Single-server constant-price replays fed through :meth:`on_batch` bank
+    their columns for one vectorised Lindley pass at finalize time; the
+    scalar walk of :meth:`on_chunk` is the reference and produces identical
+    integers.  One observer is fed one way or the other, never both.
     """
 
     __slots__ = (
@@ -618,20 +562,14 @@ class QueueingObserver(ReplayObserver):
                 _to_ns(probe.price(_PROBE_WRITE, False)),
             )
             self._pricers = []
-        self._vector = (
-            _np is not None and servers == 1 and self._service_ns is not None
-        )
-        if self._vector:
-            self._queues = []
-            self._delay_hist = None
-            self._sojourn_hist = None
+        #: Whether on_batch banks columns for the vectorised pass.
+        self._vector = servers == 1 and self._service_ns is not None
+        if servers == 1:
+            self._queues = [_SingleServerQueue() for _ in range(shard_count)]
         else:
-            if servers == 1:
-                self._queues = [_SingleServerQueue() for _ in range(shard_count)]
-            else:
-                self._queues = [_MultiServerQueue(servers) for _ in range(shard_count)]
-            self._delay_hist = _fresh_histogram()
-            self._sojourn_hist = _fresh_histogram()
+            self._queues = [_MultiServerQueue(servers) for _ in range(shard_count)]
+        self._delay_hist = _fresh_histogram()
+        self._sojourn_hist = _fresh_histogram()
         self._arrival_chunks: list = []
         self._read_chunks: list = []
         self._hit_chunks: list = []
@@ -658,13 +596,10 @@ class QueueingObserver(ReplayObserver):
     ) -> None:
         if not requests:
             return
-        arrivals_ns, reads = self._tape.columns(seq_base, requests)
+        arrivals_ns = self._tape.arrivals_ns(seq_base, len(requests))
         if self._first_ns is None:
             self._first_ns = int(arrivals_ns[0])
-        if self._vector:
-            self._chunk_vector(requests, outcomes, arrivals_ns, reads)
-        else:
-            self._chunk_scalar(requests, outcomes, arrivals_ns)
+        self._chunk_scalar(requests, outcomes, arrivals_ns.tolist())
         self._count += len(requests)
         self._last_ns = int(arrivals_ns[-1])
 
@@ -676,71 +611,34 @@ class QueueingObserver(ReplayObserver):
             # walk: materialise the chunk and take the on_chunk path.
             super().on_batch(chunk, batch)
             return
-        # Vector mode banks columns for the finalize-time Lindley pass; on
-        # the columnar path every column already exists — nothing is
-        # materialised.
-        arrivals_ns, reads = self._tape.columns_columnar(chunk)
+        # The integer Lindley recursion is chunk-boundary-free, so nothing
+        # per-chunk depends on queue state: bank the columns (shared
+        # references to the tape's and the chunk's arrays, not copies) and
+        # run pricing, recursion, totals and histograms once over the whole
+        # series in :meth:`_finalize_own`.
+        arrivals_ns = self._tape.arrivals_ns(chunk.seq_base, len(chunk))
         if self._first_ns is None:
             self._first_ns = int(arrivals_ns[0])
         self._arrival_chunks.append(arrivals_ns)
-        self._read_chunks.append(reads)
+        self._read_chunks.append(~chunk.write)
         self._hit_chunks.append(batch.hit)
         if self._route is not None:
             if type(self._router) is HashRouter:
-                self._shard_chunks.append(self._tape.mixed_pages_columnar(chunk))
+                self._shard_chunks.append(self._tape.mixed_pages(chunk))
             else:
                 self._shard_chunks.append(self._router.route_batch(chunk))
         self._count += len(chunk)
         self._last_ns = int(arrivals_ns[-1])
 
     # ------------------------------------------------------------ chunk paths
-    def _chunk_vector(
-        self,
-        requests: Sequence["IORequest"],
-        outcomes: Sequence["AccessOutcome"],
-        arrivals_ns: Sequence[int],
-        reads: Sequence[bool],
-    ) -> None:
-        """Bank one chunk's columns for the finalize-time vector pass.
-
-        The integer Lindley recursion is chunk-boundary-free, so nothing
-        per-chunk depends on queue state: the only column that must be
-        captured while the outcome objects are alive is the hit flags.
-        Everything else (pricing, recursion, totals, histograms) runs once
-        over the whole concatenated series in :meth:`_finalize_own`, which
-        replaces dozens of small-array numpy calls with a handful of large
-        ones; the arrival/read/mixed-page columns are appended as shared
-        references to the tape's arrays, not copies.
-        """
-        np = _np
-        n = len(requests)
-        self._arrival_chunks.append(arrivals_ns)
-        self._read_chunks.append(reads)
-        self._hit_chunks.append(
-            np.fromiter((outcome.hit for outcome in outcomes), np.bool_, n)
-        )
-        if self._route is not None:
-            if type(self._router) is HashRouter:
-                self._shard_chunks.append(self._tape.mixed_pages(requests))
-            else:
-                self._shard_chunks.append(
-                    np.fromiter(
-                        (self._route(request) for request in requests),
-                        np.int64,
-                        n,
-                    )
-                )
-
     def _chunk_scalar(
         self,
         requests: Sequence["IORequest"],
         outcomes: Sequence["AccessOutcome"],
         arrivals_ns: Sequence[int],
     ) -> None:
-        """One chunk through the scalar queues (no numpy, seek devices, or
-        multi-server shards).  Same integers as the vector path."""
-        if _np is not None and not isinstance(arrivals_ns, list):
-            arrivals_ns = arrivals_ns.tolist()
+        """One chunk through the scalar queues, event by event (the
+        reference for the vector pass: same integers)."""
         consts = self._service_ns
         if consts is not None:
             hit_ns, miss_ns, write_ns = consts
@@ -795,7 +693,6 @@ class QueueingObserver(ReplayObserver):
         totals, histograms and the departure overhang are all
         order-independent sums).
         """
-        np = _np
         hit_ns, miss_ns, write_ns = self._service_ns
         arrivals = np.concatenate(self._arrival_chunks)
         reads = np.concatenate(self._read_chunks)
@@ -848,8 +745,12 @@ class QueueingObserver(ReplayObserver):
             # to the N(t) integral cut at T: subtract their overhang from
             # the total-sojourn identity.
             last_arrival = self._last_ns
-            if self._vector:
-                np = _np
+            if self._arrival_chunks:
+                if self._departs:
+                    raise ValueError(
+                        "QueueingObserver was fed through both on_chunk and "
+                        "on_batch; one replay must use one feed"
+                    )
                 delay, sojourn, departs, service, last_departure = (
                     self._replay_vector()
                 )
@@ -877,9 +778,6 @@ class QueueingObserver(ReplayObserver):
         else:
             area_at_last_arrival = 0
             last_departure = 0
-            if delay_hist is None:
-                delay_hist = _fresh_histogram()
-                sojourn_hist = _fresh_histogram()
         self._finalized = QueueingStats(
             request_count=self._count,
             servers=self._shard_count * self._model.servers_per_shard,

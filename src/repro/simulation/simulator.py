@@ -55,19 +55,17 @@ class CacheSimulator:
     def __init__(
         self,
         policy: CachePolicy,
-        track_per_client: bool = True,
         cost_model: CostModel | None = None,
         rolling_window: int | None = None,
         queueing_model: QueueingModel | None = None,
         observer_factories: Sequence[
             Callable[[CachePolicy, int], ReplayObserver]
         ] = (),
-        columnar: bool | None = None,
+        columnar: bool = True,
     ):
         self._policy = policy
         self._engine = MultiPolicySimulator(
             [policy],
-            track_per_client=track_per_client,
             cost_model=cost_model,
             rolling_window=rolling_window,
             queueing_model=queueing_model,
@@ -95,16 +93,14 @@ class CacheSimulator:
 def simulate(
     policy: CachePolicy,
     requests: Iterable[IORequest],
-    track_per_client: bool = True,
     cost_model: CostModel | None = None,
     rolling_window: int | None = None,
     queueing_model: QueueingModel | None = None,
-    columnar: bool | None = None,
+    columnar: bool = True,
 ) -> SimulationResult:
     """Convenience wrapper: ``CacheSimulator(policy).run(requests)``."""
     return CacheSimulator(
         policy,
-        track_per_client=track_per_client,
         cost_model=cost_model,
         rolling_window=rolling_window,
         queueing_model=queueing_model,

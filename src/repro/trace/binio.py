@@ -34,10 +34,7 @@ from pathlib import Path
 from types import TracebackType
 from typing import Any, BinaryIO, Iterable, Iterator
 
-try:  # optional acceleration for the columnar decode path
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-less installs
-    _np = None
+import numpy as np
 
 from repro.core.hints import EMPTY_HINT_SET, HintSet
 from repro.simulation.request import IORequest, RequestKind
@@ -355,11 +352,6 @@ class StreamedTrace:
         exact same :class:`TraceFormatError` as :meth:`iter_chunks` and
         well-formed ones decode to identical requests either way.
         """
-        if _np is None:
-            raise RuntimeError(
-                "StreamedTrace.iter_columnar requires numpy; "
-                "use iter_chunks for the object path"
-            )
         with self.path.open("rb") as handle:
             self._check_header(handle)
             hint_sets: dict[int, HintSet] = {}
@@ -424,13 +416,13 @@ class StreamedTrace:
                                 f"hint set id {bad - 1}"
                             )
                         if hint_client_arr is None:
-                            hint_client_arr = _np.array(hint_client, _np.int64)
+                            hint_client_arr = np.array(hint_client, np.int64)
                         chunk = ColumnarChunk(
                             page,
                             write,
                             hint_ref,
                             hint_client_arr[hint_ref],
-                            _np.arange(count, count + expected, dtype=_np.int64),
+                            np.arange(count, count + expected, dtype=np.int64),
                             hint_table,
                             client_table,
                         )
@@ -643,11 +635,11 @@ def _decode_varint_column(arr: Any, starts: Any, ends: Any) -> Any:
     max_len = int(lengths.max())
     if max_len > 8:
         return None
-    values = (arr[starts] & 0x7F).astype(_np.int64)
+    values = (arr[starts] & 0x7F).astype(np.int64)
     for position in range(1, max_len):
         mask = lengths > position
         values[mask] |= (
-            arr[starts[mask] + position].astype(_np.int64) & 0x7F
+            arr[starts[mask] + position].astype(np.int64) & 0x7F
         ) << (7 * position)
     return values
 
@@ -668,19 +660,19 @@ def _decode_block_columnar(
     handled by the scalar decoder (which raises the canonical
     :class:`TraceFormatError` for genuinely garbled input).
     """
-    if _np is None or expected == 0 or not body:
+    if expected == 0 or not body:
         return None
-    arr = _np.frombuffer(body, dtype=_np.uint8)
-    ends = _np.flatnonzero(arr < 0x80)
+    arr = np.frombuffer(body, dtype=np.uint8)
+    ends = np.flatnonzero(arr < 0x80)
     if ends.size != 3 * expected:
         return None
     flags_pos = ends[0::3]
     page_end = ends[1::3]
     hint_end = ends[2::3]
-    starts = _np.empty_like(flags_pos)
+    starts = np.empty_like(flags_pos)
     starts[0] = 0
     starts[1:] = hint_end[:-1] + 1
-    if int(hint_end[-1]) != arr.size - 1 or not _np.array_equal(flags_pos, starts):
+    if int(hint_end[-1]) != arr.size - 1 or not np.array_equal(flags_pos, starts):
         return None
     flags = arr[flags_pos]
     if bool((flags & _FLAG_CLIENT_ID).any()):

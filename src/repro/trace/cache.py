@@ -128,15 +128,9 @@ class TraceSpec:
             )
         return zip(self.arrivals.times(), self.iter_requests())
 
-    def iter_chunks(self) -> Iterator[list[IORequest]]:
-        """Stream the trace's requests in decoded-block chunks."""
-        return default_trace_cache().open(self).iter_chunks()
-
     def iter_columnar(self) -> "Iterator[ColumnarChunk]":
-        """Stream the trace as columnar chunks (the engine's array path).
-
-        Requires numpy; the same blocks as :meth:`iter_chunks`, decoded
-        straight into arrays."""
+        """Stream the trace as columnar chunks (the engine's replay unit):
+        one per binary BLOCK, decoded straight into arrays."""
         return default_trace_cache().open(self).iter_columnar()
 
     def __iter__(self) -> Iterator[IORequest]:
@@ -345,13 +339,10 @@ class _InMemoryStream:
     def __iter__(self) -> Iterator[IORequest]:
         return self.iter_requests()
 
-    def iter_chunks(self) -> Iterator[list[IORequest]]:
-        yield self._trace.requests()
-
     def iter_columnar(self) -> "Iterator[ColumnarChunk]":
-        from repro.trace.columnar import ColumnarSource
+        from repro.trace.columnar import columnar_chunks
 
-        return ColumnarSource(self._trace.requests()).iter_columnar()
+        return columnar_chunks(self._trace.requests())
 
     def load(self) -> Trace:
         return self._trace

@@ -10,59 +10,40 @@ batch_access`) consume them, and batch-aware observers
 (:meth:`repro.simulation.observers.ReplayObserver.on_batch`) account them
 without materialising per-request objects.
 
-Both sides can always fall back: :meth:`ColumnarChunk.from_requests` lifts a
-request list into a chunk, and :meth:`ColumnarChunk.requests` materialises
-the exact equivalent request list (memoised, so at most one materialisation
-per chunk serves every scalar consumer).  The object path remains the
-bit-identical reference implementation; columnar replay must never change a
-single counter.
-
-numpy is an accelerator, never a dependency: when it is missing the engine
-simply keeps using the object path (``NUMPY_AVAILABLE`` is the feature
-probe).
+Chunks are the engine's only unit of replay.  Sources without a columnar
+decoder (request lists, plain ``iter_requests()`` streams) are lifted with
+:func:`columnar_chunks` / :meth:`ColumnarChunk.from_requests`, and
+:meth:`ColumnarChunk.requests` materialises the exact equivalent request
+list (memoised, so at most one materialisation per chunk serves every
+scalar consumer).  The scalar ``access()``/``on_outcome`` loops over those
+requests remain the bit-identical reference; batch kernels and batch
+observers must never change a single counter.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Sequence
+from itertools import islice
+from typing import Any, Iterable, Iterator, Sequence
 
-try:  # optional acceleration; the object path is bit-identical
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-less installs
-    _np = None
+import numpy as np
 
 from repro.core.hints import EMPTY_HINT_SET, HintSet
 from repro.simulation.request import IORequest, RequestKind
 
 __all__ = [
     "COLUMNAR_CHUNK_REQUESTS",
-    "NUMPY_AVAILABLE",
     "ColumnarChunk",
-    "ColumnarSource",
     "columnar_chunks",
 ]
 
-#: True when numpy is importable and the columnar path can engage.
-NUMPY_AVAILABLE = _np is not None
-
-#: Requests per chunk produced by :class:`ColumnarSource`; matches the
-#: binary trace BLOCK size so both sources batch identically.
+#: Requests per chunk produced by :func:`columnar_chunks`; matches the
+#: binary trace BLOCK size so lifted and decoded sources batch identically.
 COLUMNAR_CHUNK_REQUESTS = 4096
 
-# Arrays are annotated as ``Any``: numpy is optional at runtime, so the
-# module cannot reference ``np.ndarray`` in evaluated positions.
+#: Column arrays (numpy ndarrays) are annotated loosely.
 Array = Any
 
 _EMPTY_IDENTITY = ("", (), ())
-
-
-def _require_numpy() -> Any:
-    if _np is None:
-        raise RuntimeError(
-            "the columnar replay path requires numpy; "
-            "use the object path (iter_chunks/iter_requests) instead"
-        )
-    return _np
 
 
 class ColumnarChunk:
@@ -145,37 +126,32 @@ class ColumnarChunk:
         The resulting chunk memoises *requests* itself, so a follow-up
         :meth:`requests` call returns the original objects at zero cost.
         """
-        np = _require_numpy()
         n = len(requests)
-        page = np.fromiter((request.page for request in requests), np.int64, n)
+        write_kind = RequestKind.WRITE
+        page = np.fromiter([request.page for request in requests], np.int64, n)
         write = np.fromiter(
-            (not request.is_read for request in requests), np.bool_, n
+            [request.kind is write_kind for request in requests], np.bool_, n
         )
+        # Hint sets dedupe by object first (C-speed dict passes), then the
+        # few distinct objects dedupe by value, the empty set pinned to 0.
+        hints = [request.hints for request in requests]
+        object_ids = list(map(id, hints))
+        first_object = dict(zip(object_ids, hints))
+        position = {object_id: k for k, object_id in enumerate(first_object)}
         hint_sets: list[HintSet] = [EMPTY_HINT_SET]
-        hint_index: dict[tuple, int] = {}
-        clients: list[str] = []
-        client_index: dict[str, int] = {}
-        hint_id = np.empty(n, np.int64)
-        client_idx = np.empty(n, np.int64)
-        for i, request in enumerate(requests):
-            hints = request.hints
-            identity = hints.identity()
-            if identity == _EMPTY_IDENTITY:
-                hint_id[i] = 0
-            else:
-                idx = hint_index.get(identity)
-                if idx is None:
-                    idx = len(hint_sets)
-                    hint_index[identity] = idx
-                    hint_sets.append(hints)
-                hint_id[i] = idx
-            client = request.client_id
-            cidx = client_index.get(client)
-            if cidx is None:
-                cidx = len(clients)
-                client_index[client] = cidx
-                clients.append(client)
-            client_idx[i] = cidx
+        hint_index: dict[tuple, int] = {_EMPTY_IDENTITY: 0}
+        remap = np.empty(len(first_object), np.int64)
+        for k, hint_set in enumerate(first_object.values()):
+            identity = hint_set.identity()
+            idx = hint_index.get(identity)
+            if idx is None:
+                idx = hint_index[identity] = len(hint_sets)
+                hint_sets.append(hint_set)
+            remap[k] = idx
+        hint_id = remap[np.fromiter(map(position.__getitem__, object_ids), np.int64, n)]
+        client_ids = [request.client_id for request in requests]
+        clients = {client: k for k, client in enumerate(dict.fromkeys(client_ids))}
+        client_idx = np.fromiter(map(clients.__getitem__, client_ids), np.int64, n)
         seq = np.arange(start_seq, start_seq + n, dtype=np.int64)
         chunk = cls(
             page, write, hint_id, client_idx, seq, tuple(hint_sets), tuple(clients)
@@ -188,8 +164,8 @@ class ColumnarChunk:
 
         The list is identical — field for field — to what the scalar
         decoder produces for the same records, so every scalar consumer
-        (fallback kernels, fallback observers) sees exactly the object-path
-        inputs.
+        (the scalar ``access()`` lift, per-outcome observer folds) sees
+        exactly the reference inputs.
         """
         if self._requests is None:
             read_kind = RequestKind.READ
@@ -211,10 +187,6 @@ class ColumnarChunk:
                 )
             ]
         return self._requests
-
-    def to_requests(self) -> list[IORequest]:
-        """Alias of :meth:`requests` (the columnar-side converter)."""
-        return self.requests()
 
     def seq_list(self) -> list[int]:
         """The seq column as a Python list (memoised).
@@ -267,7 +239,6 @@ class ColumnarChunk:
         Requests carry no sequence number, so the memoised list (if any)
         stays valid and is shared.
         """
-        np = _require_numpy()
         chunk = ColumnarChunk(
             self.page,
             self.write,
@@ -288,7 +259,6 @@ class ColumnarChunk:
         row-selector for that client — the per-client accounting primitive
         of the columnar engine loop.
         """
-        np = _require_numpy()
         unique, first = np.unique(self.client_idx, return_index=True)
         order = np.argsort(first, kind="stable")
         out: list[tuple[str, Array]] = []
@@ -299,46 +269,19 @@ class ColumnarChunk:
 
 
 def columnar_chunks(
-    chunks: Iterator[list[IORequest]] | Sequence[list[IORequest]],
+    requests: Iterable[IORequest],
     start_seq: int = 0,
+    chunk_requests: int = COLUMNAR_CHUNK_REQUESTS,
 ) -> Iterator[ColumnarChunk]:
-    """Lift an object-chunk stream into a columnar-chunk stream."""
+    """Lift a request stream into consecutive chunks of at most
+    *chunk_requests* requests, numbered from *start_seq*."""
+    if chunk_requests <= 0:
+        raise ValueError("chunk_requests must be positive")
+    iterator = iter(requests)
     seq = start_seq
-    for chunk in chunks:
+    while True:
+        chunk = list(islice(iterator, chunk_requests))
+        if not chunk:
+            return
         yield ColumnarChunk.from_requests(chunk, seq)
         seq += len(chunk)
-
-
-class ColumnarSource:
-    """Adapts an in-memory request list to the columnar source protocol.
-
-    Exposes all three source methods — ``iter_requests`` (lazy protocol),
-    ``iter_chunks`` (object batches) and ``iter_columnar`` — so it can be
-    handed to the engine, a sweep runner, or pickled into sweep workers
-    like any other request source.
-    """
-
-    def __init__(
-        self,
-        requests: Sequence[IORequest],
-        chunk_requests: int = COLUMNAR_CHUNK_REQUESTS,
-    ):
-        if chunk_requests <= 0:
-            raise ValueError("chunk_requests must be positive")
-        self._requests = list(requests)
-        self._chunk_requests = chunk_requests
-
-    def __len__(self) -> int:
-        return len(self._requests)
-
-    def iter_requests(self) -> Iterator[IORequest]:
-        return iter(self._requests)
-
-    def iter_chunks(self) -> Iterator[list[IORequest]]:
-        requests = self._requests
-        size = self._chunk_requests
-        for start in range(0, len(requests), size):
-            yield requests[start : start + size]
-
-    def iter_columnar(self) -> Iterator[ColumnarChunk]:
-        return columnar_chunks(self.iter_chunks())

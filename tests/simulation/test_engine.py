@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -18,7 +19,10 @@ from repro.simulation.simulator import CacheSimulator
 from repro.simulation.sweep import sweep_cache_sizes
 
 from repro.core.hints import make_hint_set
+from repro.simulation.costmodel import CostModel
+from repro.simulation.queueing import QueueingModel
 from repro.simulation.request import IORequest, RequestKind
+from repro.workloads.arrivals import PoissonArrivals
 
 
 def _mixed_trace(rng: random.Random, clients=("alpha",), n=4000):
@@ -90,27 +94,18 @@ class TestMultiPolicySimulator:
         )
         assert result.stats == expected.stats
 
-    def test_track_per_client_disabled(self, rng):
-        requests = _mixed_trace(rng, clients=("alpha", "beta"), n=1000)
-        results = MultiPolicySimulator(
-            [create_policy("LRU", capacity=50)], track_per_client=False
-        ).run(requests)
-        assert results[0].per_client == {}
-        assert results[0].stats.requests == 1000
-
     def test_empty_policy_list(self, rng):
         assert MultiPolicySimulator([]).run(_mixed_trace(rng, n=10)) == []
 
     @pytest.mark.parametrize("boundary_offset", [0, 1])
     def test_second_client_appearing_at_chunk_boundary(self, rng, boundary_offset):
-        """The per-client fast path must hand over correctly at chunk edges.
+        """Per-client rows stay exact when a new client appears at a chunk edge.
 
-        The replay loop runs a single-client fast path until a second client
-        appears, which it detects chunk-by-chunk.  Build a stream whose
-        second client first appears exactly at the CHUNK_SIZE boundary (and,
-        for contrast, one request after it): the totals accumulated by the
-        fast path must be re-attributed to the first client and per-client
-        stats must match the per-request slow path of CacheSimulator.
+        The replay loop counts per-client rows chunk by chunk.  Build a
+        stream whose second client first appears exactly at the CHUNK_SIZE
+        boundary (and, for contrast, one request after it): the shared pass
+        must attribute every request to the right client, matching one
+        CacheSimulator run per policy.
         """
         chunk = MultiPolicySimulator.CHUNK_SIZE
         alpha = _mixed_trace(rng, clients=("alpha",), n=chunk + boundary_offset)
@@ -134,6 +129,52 @@ class TestMultiPolicySimulator:
             iter(requests)
         )
         assert result.stats == expected.stats
+
+
+class TestReferenceVsFused:
+    """``columnar=False`` (scalar ``access()`` loops, per-outcome observer
+    folds) and ``columnar=True`` (fused batch kernels and observers) are
+    one simulation: every field of every result is identical."""
+
+    @pytest.mark.parametrize("queue_device", ["ssd", "hdd"])
+    def test_full_results_identical(self, rng, queue_device):
+        # The client mix changes mid-run and mid-chunk: alpha alone, then
+        # alpha and beta interleaved, then beta alone; 1,000-request
+        # rolling windows cross every chunk.
+        chunk = MultiPolicySimulator.CHUNK_SIZE
+        requests = (
+            _mixed_trace(rng, clients=("alpha",), n=chunk + 500)
+            + _mixed_trace(rng, clients=("alpha", "beta"), n=3_000)
+            + _mixed_trace(rng, clients=("beta",), n=1_700)
+        )
+        labels = ["LRU", "CLIC", "LFU", "OPT", "SHARDED[ARC]x2"]
+
+        def build():
+            return [create_policy(name, capacity=120) for name in labels[:-1]] + [
+                create_policy("SHARDED", capacity=120, policy="ARC", shards=2)
+            ]
+
+        # An ssd queue takes the vectorised Lindley pass when fused; an hdd
+        # queue is seek-priced and walks event by event either way.
+        queueing = QueueingModel(
+            arrivals=PoissonArrivals(rate_rps=15_000.0, seed=5), device=queue_device
+        )
+        runs = {
+            columnar: MultiPolicySimulator(
+                build(),
+                cost_model=CostModel(device="hdd", page_span=1_300),
+                rolling_window=1_000,
+                queueing_model=queueing,
+                columnar=columnar,
+            ).run(requests)
+            for columnar in (False, True)
+        }
+        for label, reference, fused in zip(labels, runs[False], runs[True]):
+            assert set(fused.per_client) == {"alpha", "beta"}, label
+            assert fused.rolling is not None and len(fused.rolling.windows) == 10
+            assert dataclasses.replace(fused, elapsed_seconds=0.0) == (
+                dataclasses.replace(reference, elapsed_seconds=0.0)
+            ), label
 
 
 class TestParallelSweepRunner:

@@ -290,16 +290,14 @@ class TestStructuralLaws:
         assert sum(stats.sojourn_histogram) == stats.request_count
 
     @pytest.mark.parametrize("sharded", [False, True], ids=["plain", "sharded"])
-    def test_vector_and_scalar_paths_produce_identical_integers(
-        self, monkeypatch, sharded
-    ):
-        """The numpy chunk path and the pure-Python fallback are the same
-        simulation: every field of the finalized stats — totals,
-        histograms, areas — is bit-identical, fed chunk by chunk."""
-        pytest.importorskip("numpy")
-        import repro.simulation.queueing as queueing_module
-
+    def test_vector_and_scalar_paths_produce_identical_integers(self, sharded):
+        """The vectorised Lindley pass (fed through on_batch) and the scalar
+        per-event walk (fed through on_chunk) are the same simulation: every
+        field of the finalized stats — totals, histograms, areas — is
+        bit-identical, fed chunk by chunk."""
+        from repro.cache.base import AccessOutcomeBatch
         from repro.simulation.request import write_request
+        from repro.trace.columnar import ColumnarChunk
 
         stream = [
             read_request(page=(seq * 7) % 101)
@@ -313,19 +311,38 @@ class TestStructuralLaws:
             policy = create_policy("LRU", capacity=60)
         outcomes = [policy.access(request, seq) for seq, request in enumerate(stream)]
         model = _poisson_model(11_000.0)
+        bases = range(0, len(stream), 700)  # uneven chunk boundaries
 
-        def run() -> QueueingStats:
-            observer = QueueingObserver(model, policy, 0)
-            for base in range(0, len(stream), 700):  # uneven chunk boundaries
-                observer.on_chunk(
-                    stream[base : base + 700], base, outcomes[base : base + 700]
-                )
-            return observer.finalize()
+        scalar = QueueingObserver(model, policy, 0)
+        for base in bases:
+            scalar.on_chunk(stream[base : base + 700], base, outcomes[base : base + 700])
 
-        fast = run()
-        monkeypatch.setattr(queueing_module, "_np", None)
-        slow = run()
-        assert fast == slow
+        vector = QueueingObserver(model, policy, 0)
+        for base in bases:
+            vector.on_batch(
+                ColumnarChunk.from_requests(stream[base : base + 700], base),
+                AccessOutcomeBatch.from_outcomes(outcomes[base : base + 700]),
+            )
+
+        assert vector.finalize() == scalar.finalize()
+        assert scalar.finalize().request_count == len(stream)
+
+    def test_one_observer_takes_one_feed(self):
+        """Mixing the two feeds in one observer would splice two queue
+        states; finalize refuses instead of reporting either."""
+        from repro.cache.base import AccessOutcomeBatch
+        from repro.trace.columnar import ColumnarChunk
+
+        requests = _all_miss_reads(20)
+        outcomes = [MISS_ADMIT] * 20
+        observer = QueueingObserver(_poisson_model(2_000.0), _NoPolicy(), 0)
+        observer.on_chunk(requests[:10], 0, outcomes[:10])
+        observer.on_batch(
+            ColumnarChunk.from_requests(requests[10:], 10),
+            AccessOutcomeBatch.from_outcomes(outcomes[10:]),
+        )
+        with pytest.raises(ValueError, match="one feed"):
+            observer.finalize()
 
 
 class TestSegmentsAndComposition:

@@ -55,10 +55,6 @@ class TestCacheSimulator:
         assert result.client_read_hit_ratio("client-b") == 0.0
         assert result.client_read_hit_ratio("unknown") == 0.0
 
-    def test_per_client_tracking_can_be_disabled(self):
-        result = CacheSimulator(LRUPolicy(2), track_per_client=False).run([rd(1)])
-        assert result.per_client == {}
-
     def test_result_reports_policy_and_capacity(self):
         result = simulate(LRUPolicy(7), [rd(1), wr(2)])
         assert result.policy_name == "LRU"

@@ -95,6 +95,17 @@ def test_clean_fixture_passes_its_family(stem: str, family: set) -> None:
     assert result.violations == []
 
 
+def test_merge_rule_covers_on_batch() -> None:
+    """State accumulated only in on_batch — the hook the engine drives —
+    needs merge() as much as state accumulated in on_outcome."""
+    result = run_paths(
+        [FIXTURES / "observer_batch_bad.py"],
+        fixture_config(),
+        select=["observer-merge-required"],
+    )
+    assert [v.rule_id for v in result.violations] == ["observer-merge-required"]
+
+
 def test_typing_gate_fires_only_in_strict_packages() -> None:
     config = fixture_config(strict_typing_packages=("typing_bad", "typing_clean"))
     bad = run_paths(

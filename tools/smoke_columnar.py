@@ -1,10 +1,11 @@
-"""CI smoke: object and columnar replay paths must be bit-identical.
+"""CI smoke: reference and fused replay implementations must be bit-identical.
 
 Replays one standard trace (from its cached binary form, so the columnar
 path decodes straight into arrays) twice through
 :class:`~repro.simulation.engine.MultiPolicySimulator` — once with
-``columnar=False`` (the object reference path), once with ``columnar=True``
-(batch dispatch) — and diffs the full :class:`SimulationResult` JSON of
+``columnar=False`` (the reference: scalar ``access()`` loops and
+per-outcome observer folds), once with ``columnar=True`` (fused batch
+kernels and observers) — and diffs the full :class:`SimulationResult` JSON of
 every policy.  Two passes:
 
 * **plain pass** — a mixed policy grid: the fused batch kernels (LRU,
@@ -71,7 +72,7 @@ def fingerprint(result) -> dict:
 
 
 def diff_paths(name, spec, policy_factories, **engine_kwargs) -> bool:
-    """Run one grid object-vs-columnar and diff the result fingerprints."""
+    """Run one grid reference-vs-fused and diff the result fingerprints."""
     fingerprints = {}
     for columnar in (False, True):
         engine = MultiPolicySimulator(
@@ -87,12 +88,12 @@ def diff_paths(name, spec, policy_factories, **engine_kwargs) -> bool:
     ok = True
     for label in policy_factories:
         if fingerprints[False][label] != fingerprints[True][label]:
-            print(f"MISMATCH [{name}] {label}: columnar result diverged "
-                  "from the object path")
+            print(f"MISMATCH [{name}] {label}: fused result diverged "
+                  "from the reference")
             ok = False
     if ok:
         print(f"{name}: {len(policy_factories)} policies identical "
-              "object vs columnar")
+              "reference vs fused")
     return ok
 
 
@@ -140,9 +141,9 @@ def main(argv=None) -> int:
     )
 
     if not ok:
-        print("FAIL: columnar replay is not bit-identical to the object path")
+        print("FAIL: fused replay is not bit-identical to the reference")
         return 1
-    print("PASS: object and columnar paths bit-identical "
+    print("PASS: reference and fused replays bit-identical "
           "(stats, per-client, per-shard, latency, rolling, queueing)")
     return 0
 

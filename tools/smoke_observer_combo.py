@@ -7,9 +7,10 @@ runs are bit-identical: stats, per-client, per-shard partitions, latency,
 per-shard latency, and every rolling window.  This is the one-command proof
 that observer merging across replay segments changes nothing but wall-clock.
 
-``--columnar`` pins every replay to the columnar dispatch path
-(``columnar=True``) so the same observer combination is proven on batch
-dispatch; without it the sweeps run the object path.
+``--columnar`` runs both sweeps with the fused batch implementations
+(``columnar=True``); without it they run the reference implementations
+(``columnar=False``: scalar ``access()`` loops, per-outcome observer
+folds), so the two invocations cover different code.
 
 Usage::
 
@@ -27,7 +28,7 @@ from repro.simulation.costmodel import CostModel
 from repro.simulation.engine import ParallelSweepRunner, PolicySpec, SweepCell
 
 
-def run_sweep(requests, jobs: int, rolling_window: int, columnar: bool | None):
+def run_sweep(requests, jobs: int, rolling_window: int, columnar: bool):
     cells = [
         SweepCell(
             x=float(shards),
@@ -94,17 +95,17 @@ def main(argv=None) -> int:
     parser.add_argument("--rolling-window", type=int, default=1_000)
     parser.add_argument(
         "--columnar", action="store_true",
-        help="pin both sweeps to the columnar (batch dispatch) replay path",
+        help="run the fused batch implementations instead of the reference",
     )
     args = parser.parse_args(argv)
-    columnar = True if args.columnar else None
+    columnar = args.columnar
 
     settings = ExperimentSettings(target_requests=args.requests, seed=args.seed)
     requests = generate_trace(args.trace, settings).requests()
     print(
         f"trace={args.trace} requests={len(requests)} "
         f"observers=per-shard+cost(hdd)+rolling({args.rolling_window}) "
-        f"path={'columnar' if args.columnar else 'object'}"
+        f"path={'fused' if columnar else 'reference'}"
     )
 
     serial = fingerprint(run_sweep(requests, 1, args.rolling_window, columnar))
