@@ -105,20 +105,21 @@ def _as_request_source(requests: Iterable[IORequest]) -> RequestSource:
 
 
 def _iter_columnar_chunks(
-    source: RequestSource, chunk_size: int, start_seq: int
+    source: RequestSource, start_seq: int
 ) -> Iterator[ColumnarChunk]:
     """Yield *source* as columnar chunks.
 
     Sources exposing ``iter_columnar()`` (:class:`StreamedTrace`,
     :class:`~repro.trace.cache.TraceSpec`) decode straight into arrays;
     request sequences and ``iter_requests()`` streams are cut into chunks of
-    *chunk_size* and lifted with :meth:`ColumnarChunk.from_requests`, which
-    memoises the original request objects for scalar consumers.
+    :data:`COLUMNAR_CHUNK_REQUESTS` and lifted with
+    :meth:`ColumnarChunk.from_requests`, which memoises the original request
+    objects for scalar consumers.
     """
     if hasattr(source, "iter_columnar"):
         return source.iter_columnar()
     requests = source if isinstance(source, (list, tuple)) else source.iter_requests()
-    return columnar_chunks(requests, start_seq, chunk_size)
+    return columnar_chunks(requests, start_seq)
 
 
 def _split_at_windows(
@@ -213,7 +214,8 @@ class MultiPolicySimulator:
         return list(self._policies)
 
     #: Requests per chunk when lifting sources without a columnar decoder
-    #: (the binary trace BLOCK size).  Within a chunk each policy runs in
+    #: (the binary trace BLOCK size; read-only alias of
+    #: :data:`COLUMNAR_CHUNK_REQUESTS`).  Within a chunk each policy runs in
     #: its own tight loop, so a policy's data structures stay hot for a
     #: whole chunk instead of being evicted N-1 times per request by the
     #: other policies.
@@ -323,7 +325,7 @@ class MultiPolicySimulator:
         per_client: dict[str, list] = {}
         seq_base = start_seq
         started = time.perf_counter()  # lintkit: ignore[wall-clock] elapsed_seconds is runtime telemetry, never replay state
-        chunks = _iter_columnar_chunks(source, self.CHUNK_SIZE, start_seq)
+        chunks = _iter_columnar_chunks(source, start_seq)
         if boundary:
             chunks = _split_at_windows(chunks, boundary, start_seq)
         for chunk in chunks:

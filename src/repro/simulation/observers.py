@@ -306,8 +306,10 @@ class CostObserver(ReplayObserver):
             )
             return
         # Seek-aware (or sharded seek-aware) accumulators need the exact
-        # per-request head walk: materialise and run the scalar loop.
-        super().on_batch(chunk, batch)
+        # per-request head walk, which reads only each request's hit bit.
+        charge = accumulator.charge
+        for request, hit in zip(chunk.requests(), batch.hit.tolist()):
+            charge(request, hit)
 
     def merge(self, other: "CostObserver") -> None:
         self._merged.append(other)

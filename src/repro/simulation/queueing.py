@@ -594,22 +594,15 @@ class QueueingObserver(ReplayObserver):
         seq_base: int,
         outcomes: Sequence["AccessOutcome"],
     ) -> None:
-        if not requests:
-            return
-        arrivals_ns = self._tape.arrivals_ns(seq_base, len(requests))
-        if self._first_ns is None:
-            self._first_ns = int(arrivals_ns[0])
-        self._chunk_scalar(requests, outcomes, arrivals_ns.tolist())
-        self._count += len(requests)
-        self._last_ns = int(arrivals_ns[-1])
+        self._chunk_scalar(requests, seq_base, [outcome.hit for outcome in outcomes])
 
     def on_batch(self, chunk: "ColumnarChunk", batch: "AccessOutcomeBatch") -> None:
         if not len(chunk):
             return
         if not self._vector:
             # Seek devices and multi-server shards need the per-event scalar
-            # walk: materialise the chunk and take the on_chunk path.
-            super().on_batch(chunk, batch)
+            # walk, which reads only each request's hit bit.
+            self._chunk_scalar(chunk.requests(), chunk.seq_base, batch.hit.tolist())
             return
         # The integer Lindley recursion is chunk-boundary-free, so nothing
         # per-chunk depends on queue state: bank the columns (shared
@@ -632,13 +625,17 @@ class QueueingObserver(ReplayObserver):
 
     # ------------------------------------------------------------ chunk paths
     def _chunk_scalar(
-        self,
-        requests: Sequence["IORequest"],
-        outcomes: Sequence["AccessOutcome"],
-        arrivals_ns: Sequence[int],
+        self, requests: Sequence["IORequest"], seq_base: int, hits: Sequence[bool]
     ) -> None:
         """One chunk through the scalar queues, event by event (the
         reference for the vector pass: same integers)."""
+        if not requests:
+            return
+        arrivals = self._tape.arrivals_ns(seq_base, len(requests))
+        if self._first_ns is None:
+            self._first_ns = int(arrivals[0])
+        self._count += len(requests)
+        self._last_ns = int(arrivals[-1])
         consts = self._service_ns
         if consts is not None:
             hit_ns, miss_ns, write_ns = consts
@@ -655,15 +652,15 @@ class QueueingObserver(ReplayObserver):
         total_delay = 0
         total_sojourn = 0
         total_service = 0
-        for t_ns, request, outcome in zip(arrivals_ns, requests, outcomes):
+        for t_ns, request, hit in zip(arrivals.tolist(), requests, hits):
             shard = route(request) if route is not None else 0
             if consts is not None:
                 if request.kind is read:
-                    service = hit_ns if outcome.hit else miss_ns
+                    service = hit_ns if hit else miss_ns
                 else:
                     service = write_ns
             else:
-                service = int(pricers[shard].price(request, outcome.hit) * 1000.0 + 0.5)
+                service = int(pricers[shard].price(request, hit) * 1000.0 + 0.5)
             delay = queues[shard].admit(t_ns, service)
             sojourn = delay + service
             departs_append(t_ns + sojourn)
@@ -762,11 +759,11 @@ class QueueingObserver(ReplayObserver):
                 indexes = np.minimum(
                     np.searchsorted(bounds, delay, side="left"), _LAST_BUCKET
                 )
-                delay_hist = np.bincount(indexes, minlength=len(_BOUNDS_NS))
+                delay_hist = np.bincount(indexes, minlength=len(_BOUNDS_NS)).tolist()
                 indexes = np.minimum(
                     np.searchsorted(bounds, sojourn, side="left"), _LAST_BUCKET
                 )
-                sojourn_hist = np.bincount(indexes, minlength=len(_BOUNDS_NS))
+                sojourn_hist = np.bincount(indexes, minlength=len(_BOUNDS_NS)).tolist()
             else:
                 overhang = sum(
                     depart - last_arrival

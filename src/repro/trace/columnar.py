@@ -269,18 +269,14 @@ class ColumnarChunk:
 
 
 def columnar_chunks(
-    requests: Iterable[IORequest],
-    start_seq: int = 0,
-    chunk_requests: int = COLUMNAR_CHUNK_REQUESTS,
+    requests: Iterable[IORequest], start_seq: int = 0
 ) -> Iterator[ColumnarChunk]:
     """Lift a request stream into consecutive chunks of at most
-    *chunk_requests* requests, numbered from *start_seq*."""
-    if chunk_requests <= 0:
-        raise ValueError("chunk_requests must be positive")
+    :data:`COLUMNAR_CHUNK_REQUESTS` requests, numbered from *start_seq*."""
     iterator = iter(requests)
     seq = start_seq
     while True:
-        chunk = list(islice(iterator, chunk_requests))
+        chunk = list(islice(iterator, COLUMNAR_CHUNK_REQUESTS))
         if not chunk:
             return
         yield ColumnarChunk.from_requests(chunk, seq)
