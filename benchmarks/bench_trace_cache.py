@@ -16,14 +16,17 @@ ways and checks the properties the streaming pipeline promises:
 
 It also compares peak memory of a streamed replay against the footprint of
 the materialized request list, to demonstrate that streaming never holds
-the full trace in memory.
+the full trace in memory, and checks that cold generation of the growing
+TPC-C database (DB2_C300) stays linear: the per-request cost at 80k
+requests is compared with the cost at 10k.
 
 Run it standalone (CI runs this as a smoke test)::
 
     PYTHONPATH=src python benchmarks/bench_trace_cache.py --requests 60000
 
-PASS requires a cold/warm speedup of at least 2x and a streamed replay peak
-under half the materialized-list footprint.
+PASS requires a cold/warm speedup of at least 2x, a streamed replay peak
+under half the materialized-list footprint, and DB2_C300 generation at 80k
+requests costing at most 1.25x the per-request time at 10k.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+from collections import deque
 from pathlib import Path
 
 from repro.cache.registry import create_policy
@@ -45,9 +49,17 @@ from repro.trace.cache import (
     TraceSpec,
     set_default_trace_cache,
 )
+from repro.workloads.standard import StandardTraceStream
 
 DEFAULT_POLICIES = ("LRU", "ARC", "TQ")
 DEFAULT_SIZES = (900, 1_800, 3_600)
+
+#: Linear-generation gate: a trace whose tables grow with every request,
+#: timed at a short and a long length (best of SCALING_ROUNDS each).
+SCALING_TRACE = "DB2_C300"
+SCALING_SIZES = (10_000, 80_000)
+SCALING_ROUNDS = 3
+MAX_SCALING_RATIO = 1.25
 
 
 def main(argv=None) -> int:
@@ -136,9 +148,24 @@ def _run(args, spec: TraceSpec, cache: TraceCache) -> int:
         assert curve == reference, f"{label} diverged from the list jobs=1 sweep"
     print("hit-ratio output: identical across list/streamed x serial/parallel")
 
+    short_us, long_us = _generation_us_per_request(args.seed)
+    scaling = long_us / short_us
+    print(
+        f"\n{SCALING_TRACE} generation: {short_us:.1f} us/request at "
+        f"{SCALING_SIZES[0]} requests, {long_us:.1f} at {SCALING_SIZES[1]} "
+        f"({scaling:.2f}x)"
+    )
+
     if args.no_check:
         return 0
     ok = True
+    if scaling > MAX_SCALING_RATIO:
+        print(
+            f"FAIL: {SCALING_TRACE} generation is superlinear: {scaling:.2f}x the "
+            f"per-request time at {SCALING_SIZES[1]} requests vs {SCALING_SIZES[0]} "
+            f"(limit {MAX_SCALING_RATIO}x)"
+        )
+        ok = False
     if speedup < 2.0:
         print(f"FAIL: cold/warm speedup {speedup:.1f}x below the 2x threshold")
         ok = False
@@ -157,8 +184,23 @@ def _run(args, spec: TraceSpec, cache: TraceCache) -> int:
         ok = False
     if ok:
         print(f"PASS: speedup {speedup:.1f}x, streamed peak "
-              f"{stream_peak / list_peak:.1%} of the list footprint")
+              f"{stream_peak / list_peak:.1%} of the list footprint, "
+              f"generation scaling {scaling:.2f}x")
     return 0 if ok else 1
+
+
+def _generation_us_per_request(seed: int) -> tuple[float, float]:
+    """Best-of-N microseconds per request of in-memory cold generation of
+    SCALING_TRACE at each of SCALING_SIZES (the sizes alternate per round,
+    so drift in machine load hits both alike)."""
+    best = {requests: float("inf") for requests in SCALING_SIZES}
+    for _ in range(SCALING_ROUNDS):
+        for requests in SCALING_SIZES:
+            started = time.perf_counter()
+            deque(StandardTraceStream(SCALING_TRACE, seed=seed, target_requests=requests), maxlen=0)
+            best[requests] = min(best[requests], time.perf_counter() - started)
+    short, long = SCALING_SIZES
+    return best[short] * 1e6 / short, best[long] * 1e6 / long
 
 
 if __name__ == "__main__":

@@ -42,6 +42,9 @@ class DB2Client(DBMSClient):
         checkpoint_interval: int = 4_000,
     ):
         self._schema: HintSchema | None = None
+        # Hint sets depend only on (object, I/O class) and are immutable, so
+        # each distinct pair is built once and shared by every request.
+        self._hint_sets: dict[tuple[int, IOClass], HintSet] = {}
         super().__init__(
             client_id=client_id,
             database=database,
@@ -80,12 +83,16 @@ class DB2Client(DBMSClient):
     # --------------------------------------------------------------- mapping
     def hint_set_for(self, io: PoolIO) -> HintSet:
         obj = io.obj
-        return self.schema.make_hint_set(
-            {
-                "pool_id": obj.pool_id,
-                "object_id": obj.object_id,
-                "object_type_id": obj.object_type_id,
-                "request_type": DB2_REQUEST_TYPE_BY_IO_CLASS[io.io_class],
-                "buffer_priority": obj.buffer_priority,
-            }
-        )
+        key = (obj.object_id, io.io_class)
+        hints = self._hint_sets.get(key)
+        if hints is None:
+            hints = self._hint_sets[key] = self.schema.make_hint_set(
+                {
+                    "pool_id": obj.pool_id,
+                    "object_id": obj.object_id,
+                    "object_type_id": obj.object_type_id,
+                    "request_type": DB2_REQUEST_TYPE_BY_IO_CLASS[io.io_class],
+                    "buffer_priority": obj.buffer_priority,
+                }
+            )
+        return hints

@@ -2,9 +2,13 @@
 
 The paper's storage clients are database systems; their hint values (pool id,
 object id, object type, file id) describe the database object each page
-belongs to.  This module models a database as a collection of named objects,
-each owning a set of pages (as extents), optionally growing over time (the
-TPC-C tables grow during a run, as the paper notes under Figure 5).
+belongs to.  This module models a database as a collection of named objects
+sharing one flat page address space.  Each object keeps a page table: the
+absolute page ids it owns, in logical order.  Objects can grow over time (the
+TPC-C tables grow during a run, as the paper notes under Figure 5); growth
+allocates fresh pages at the end of the address space, so a grown object's
+pages are not contiguous, but its page table still answers ``page(i)`` in
+constant time.
 """
 
 from __future__ import annotations
@@ -45,12 +49,12 @@ class DatabaseObject:
     pool_id: int
     file_id: int
     buffer_priority: int = 1
-    #: Page extents as (start_page, count) pairs, in allocation order.
-    extents: list[tuple[int, int]] = field(default_factory=list)
+    #: Absolute page ids in logical order (the object's page table).
+    page_table: list[int] = field(default_factory=list, repr=False)
 
     @property
     def page_count(self) -> int:
-        return sum(count for _, count in self.extents)
+        return len(self.page_table)
 
     @property
     def object_type_name(self) -> str:
@@ -60,19 +64,16 @@ class DatabaseObject:
         """Absolute page id of the object's *index*-th page (0-based)."""
         if index < 0:
             raise IndexError(f"negative page index {index}")
-        remaining = index
-        for start, count in self.extents:
-            if remaining < count:
-                return start + remaining
-            remaining -= count
-        raise IndexError(f"{self.name}: page index {index} out of range ({self.page_count} pages)")
+        try:
+            return self.page_table[index]
+        except IndexError:
+            raise IndexError(
+                f"{self.name}: page index {index} out of range ({self.page_count} pages)"
+            ) from None
 
     def pages(self) -> list[int]:
         """All absolute page ids of the object, in logical order."""
-        result: list[int] = []
-        for start, count in self.extents:
-            result.extend(range(start, start + count))
-        return result
+        return list(self.page_table)
 
     def random_page_index(self, rng: random.Random) -> int:
         """Uniformly random logical page index."""
@@ -122,9 +123,7 @@ class SyntheticDatabase:
         self._next_object_id += 1
         if file_id is None:
             self._next_file_id += 1
-        if pages:
-            obj.extents.append((self._next_page, pages))
-            self._next_page += pages
+        self._allocate(obj, pages)
         self._objects[name] = obj
         return obj
 
@@ -134,7 +133,11 @@ class SyntheticDatabase:
             raise ValueError("pages must be positive")
         if obj.name not in self._objects:
             raise KeyError(f"object {obj.name!r} does not belong to this database")
-        obj.extents.append((self._next_page, pages))
+        self._allocate(obj, pages)
+
+    def _allocate(self, obj: DatabaseObject, pages: int) -> None:
+        """Append *pages* fresh pages from the end of the address space to *obj*."""
+        obj.page_table.extend(range(self._next_page, self._next_page + pages))
         self._next_page += pages
 
     # ------------------------------------------------------------ inspection

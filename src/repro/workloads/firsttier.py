@@ -62,11 +62,10 @@ class PoolIO:
 
 
 class _Frame:
-    __slots__ = ("obj", "dirty", "scan_only")
+    __slots__ = ("obj", "scan_only")
 
-    def __init__(self, obj: DatabaseObject, dirty: bool, scan_only: bool):
+    def __init__(self, obj: DatabaseObject, scan_only: bool):
         self.obj = obj
-        self.dirty = dirty
         self.scan_only = scan_only
 
 
@@ -131,6 +130,10 @@ class FirstTierBufferPool:
         self._scan_threshold = scan_threshold_fraction
         # LRU order: cold (least recently used) first.
         self._frames: OrderedDict[int, _Frame] = OrderedDict()
+        # The dirty pages, kept in the same relative order as their frames,
+        # so the cleaner and the checkpoint pop their batches from either end
+        # without walking the clean frames in between.
+        self._dirty: OrderedDict[int, None] = OrderedDict()
         self._accesses = 0
         self.logical_hits = 0
         self.logical_misses = 0
@@ -152,7 +155,7 @@ class FirstTierBufferPool:
         return self.logical_hits / total if total else 0.0
 
     def dirty_pages(self) -> int:
-        return sum(1 for frame in self._frames.values() if frame.dirty)
+        return len(self._dirty)
 
     # ------------------------------------------------------- background work
     def _maybe_background_io(self, ios: list[PoolIO], txn: int) -> None:
@@ -164,47 +167,46 @@ class FirstTierBufferPool:
 
     def _run_cleaner(self, ios: list[PoolIO], txn: int) -> None:
         """Asynchronously flush cold dirty pages (replacement writes)."""
-        flushed = 0
-        for page, frame in self._frames.items():          # cold end first
-            if flushed >= self._cleaner_batch:
-                break
-            if frame.dirty:
-                frame.dirty = False
-                ios.append(
-                    PoolIO(page=page, io_class=IOClass.REPLACEMENT_WRITE, obj=frame.obj, txn=txn)
-                )
-                flushed += 1
+        self._flush_batch(ios, txn, self._cleaner_batch, IOClass.REPLACEMENT_WRITE, cold_end=True)
 
     def _run_checkpoint(self, ios: list[PoolIO], txn: int) -> None:
         """Persist hot dirty pages for recoverability (recovery writes)."""
-        flushed = 0
-        # Walk from the hot end: checkpoints target pages that stay cached.
-        for page in reversed(list(self._frames.keys())):
-            if flushed >= self._checkpoint_batch:
-                break
-            frame = self._frames[page]
-            if frame.dirty:
-                frame.dirty = False
-                ios.append(
-                    PoolIO(page=page, io_class=IOClass.RECOVERY_WRITE, obj=frame.obj, txn=txn)
-                )
-                flushed += 1
+        # From the hot end: checkpoints target pages that stay cached.
+        self._flush_batch(ios, txn, self._checkpoint_batch, IOClass.RECOVERY_WRITE, cold_end=False)
+
+    def _flush_batch(
+        self, ios: list[PoolIO], txn: int, batch: int, io_class: IOClass, cold_end: bool
+    ) -> None:
+        """Clean up to *batch* dirty pages, starting from one end of the LRU order."""
+        dirty = self._dirty
+        frames = self._frames
+        for _ in range(min(batch, len(dirty))):
+            page = dirty.popitem(last=not cold_end)[0]
+            ios.append(PoolIO(page=page, io_class=io_class, obj=frames[page].obj, txn=txn))
 
     # --------------------------------------------------------------- access
     def _evict_one(self, ios: list[PoolIO], txn: int) -> None:
         """Evict the coldest page; flush it synchronously if still dirty."""
         page, frame = self._frames.popitem(last=False)
-        if frame.dirty:
+        if page in self._dirty:
+            del self._dirty[page]
             ios.append(
                 PoolIO(page=page, io_class=IOClass.SYNCHRONOUS_WRITE, obj=frame.obj, txn=txn)
             )
 
     def _insert(self, page: int, obj: DatabaseObject, dirty: bool, scan_only: bool) -> None:
-        frame = _Frame(obj=obj, dirty=dirty, scan_only=scan_only)
-        self._frames[page] = frame
+        self._frames[page] = _Frame(obj=obj, scan_only=scan_only)
+        if dirty:
+            self._dirty[page] = None
         if scan_only and self._scan_resistant and len(self._frames) > 1:
             # Place scanned pages at the cold end so they are evicted first.
-            self._frames.move_to_end(page, last=False)
+            self._move(page, hot_end=False)
+
+    def _move(self, page: int, hot_end: bool) -> None:
+        """Move a cached page to one end of the LRU order (and its dirty entry with it)."""
+        self._frames.move_to_end(page, last=hot_end)
+        if page in self._dirty:
+            self._dirty.move_to_end(page, last=hot_end)
 
     def access(
         self,
@@ -223,9 +225,10 @@ class FirstTierBufferPool:
         frame = self._frames.get(page)
         if frame is not None:
             self.logical_hits += 1
-            frame.dirty = frame.dirty or write
             frame.scan_only = False
-            self._frames.move_to_end(page)
+            self._move(page, hot_end=True)
+            if write and page not in self._dirty:
+                self._dirty[page] = None
             return ios
 
         self.logical_misses += 1
@@ -262,11 +265,8 @@ class FirstTierBufferPool:
             frame = self._frames.get(page)
             if frame is not None:
                 self.logical_hits += 1
-                if large_object and frame.scan_only:
-                    # Scanned-only pages stay at the cold end even when re-scanned.
-                    self._frames.move_to_end(page, last=False)
-                else:
-                    self._frames.move_to_end(page)
+                # Scanned-only pages stay at the cold end even when re-scanned.
+                self._move(page, hot_end=not (large_object and frame.scan_only))
                 continue
             self.logical_misses += 1
             if len(self._frames) >= self._capacity:
@@ -278,10 +278,5 @@ class FirstTierBufferPool:
     def flush_all(self, txn: int = 0) -> list[PoolIO]:
         """Flush every dirty page (used at end-of-trace / shutdown checkpoints)."""
         ios: list[PoolIO] = []
-        for page, frame in self._frames.items():
-            if frame.dirty:
-                frame.dirty = False
-                ios.append(
-                    PoolIO(page=page, io_class=IOClass.RECOVERY_WRITE, obj=frame.obj, txn=txn)
-                )
+        self._flush_batch(ios, txn, len(self._dirty), IOClass.RECOVERY_WRITE, cold_end=True)
         return ios

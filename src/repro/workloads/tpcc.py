@@ -14,6 +14,7 @@ through a first-tier buffer pool to produce the hinted storage-server trace.
 from __future__ import annotations
 
 import random
+from collections import deque
 from typing import Iterator
 
 from repro.workloads.access import AppendCursor, HotSpotSampler, LogicalOp, PageAccess
@@ -70,7 +71,7 @@ class TPCCWorkload:
         self._neworder_append = AppendCursor(self.database["NEW_ORDER"], rows_per_page=80)
         self._txn_counter = 0
         #: Recently inserted order positions, consumed by Delivery transactions.
-        self._undelivered: list[int] = []
+        self._undelivered: deque[int] = deque()
 
     # ---------------------------------------------------------------- layout
     def _build_layout(self, total_pages: int) -> None:
@@ -186,7 +187,7 @@ class TPCCWorkload:
         # are old enough to have aged out of the first-tier buffer.
         deliverable = max(0, len(self._undelivered) - self._delivery_backlog)
         for _ in range(min(10, deliverable)):
-            order_page = self._undelivered.pop(0)
+            order_page = self._undelivered.popleft()
             order_page = min(order_page, db["ORDERS"].page_count - 1)
             ops.append(PageAccess(db["ORDERS"], order_page, write=True, txn=txn))
             line_page = min(order_page * 5, db["ORDER_LINE"].page_count - 1)

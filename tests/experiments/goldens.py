@@ -33,7 +33,7 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 #: that every experiment produces non-degenerate rows.  ``target_requests``
 #: and ``seed`` deliberately match the experiment end-to-end tests' TINY
 #: settings, so one pytest session generates each standard trace once (the
-#: DB2_C540 warm-up alone costs ~a minute) and every consumer shares it via
+#: DB2_C540 trace, warm-up included, takes ~6 s) and every consumer shares it via
 #: the session trace cache.  Changing anything here invalidates every
 #: fixture — regenerate and review the diff.
 GOLDEN_SETTINGS = ExperimentSettings(

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.workloads.access import AppendCursor, HotSpotSampler, PageAccess
 from repro.workloads.dbmodel import DatabaseObject, ObjectType, SyntheticDatabase
@@ -85,6 +87,63 @@ class TestSyntheticDatabase:
         db.add_object("A", pages=1)
         assert "A" in db and "B" not in db
         assert db["A"].name == "A"
+
+
+def _extent_walk_page(extents: list[tuple[int, int]], index: int) -> int:
+    """Reference lookup: walk (start, count) extents in allocation order."""
+    for start, count in extents:
+        if index < count:
+            return start + index
+        index -= count
+    raise AssertionError("index past the last extent")
+
+
+#: An allocation history over three objects: ``(object, pages)`` steps where
+#: the first step naming an object creates it and later steps grow it.
+_allocations = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=6)),
+    min_size=1,
+    max_size=40,
+)
+
+
+@pytest.mark.property
+class TestPageTable:
+    @settings(max_examples=150, deadline=None)
+    @given(steps=_allocations)
+    def test_page_table_matches_extent_walk(self, steps):
+        db = SyntheticDatabase()
+        extents: dict[str, list[tuple[int, int]]] = {}
+        next_page = 0
+        for which, pages in steps:
+            name = f"obj{which}"
+            if name not in db:
+                db.add_object(name, pages=pages)
+                extents[name] = []
+            elif pages:
+                db.grow(db[name], pages)
+            else:
+                continue                      # grow() rejects empty growth
+            if pages:
+                extents[name].append((next_page, pages))
+                next_page += pages
+        assert db.total_pages == next_page
+        for name, object_extents in extents.items():
+            obj = db[name]
+            expected = [_extent_walk_page(object_extents, i) for i in range(obj.page_count)]
+            assert obj.page_count == sum(count for _, count in object_extents)
+            assert [obj.page(i) for i in range(obj.page_count)] == expected
+            assert obj.pages() == expected
+            with pytest.raises(IndexError):
+                obj.page(-1)
+            with pytest.raises(IndexError):
+                obj.page(obj.page_count)
+
+    def test_pages_returns_a_copy(self):
+        db = SyntheticDatabase()
+        obj = db.add_object("A", pages=3)
+        obj.pages().append(99)
+        assert obj.page_count == 3
 
 
 class TestHotSpotSampler:

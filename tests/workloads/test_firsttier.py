@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
-import random
+from collections import OrderedDict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.workloads.dbmodel import SyntheticDatabase
-from repro.workloads.firsttier import FirstTierBufferPool, IOClass
+from repro.workloads.firsttier import FirstTierBufferPool, IOClass, PoolIO
 
 
 def make_db(pages: int = 100):
@@ -177,3 +179,160 @@ class TestScans:
         pool = FirstTierBufferPool(capacity=10)
         with pytest.raises(ValueError):
             pool.scan(obj, 0, -1)
+
+
+class _FrameWalkPool:
+    """Reference pool that finds dirty pages by walking every frame.
+
+    A deliberately simple restatement of the pool's LRU, cleaner and
+    checkpoint rules: each frame carries its own dirty bit, the cleaner walks
+    the frames from the cold end and the checkpoint from the hot end.  The
+    real pool must emit exactly the same I/O.
+    """
+
+    def __init__(self, capacity, cleaner_interval, cleaner_batch,
+                 checkpoint_interval, checkpoint_batch):
+        self.capacity = capacity
+        self.cleaner_interval = cleaner_interval
+        self.cleaner_batch = cleaner_batch
+        self.checkpoint_interval = checkpoint_interval
+        self.checkpoint_batch = checkpoint_batch
+        self.frames = OrderedDict()           # page -> [obj, dirty, scan_only]
+        self.accesses = 0
+
+    def _flush(self, ios, txn, pages, batch, io_class):
+        flushed = 0
+        for page in pages:
+            if flushed >= batch:
+                break
+            frame = self.frames[page]
+            if frame[1]:
+                frame[1] = False
+                ios.append(PoolIO(page=page, io_class=io_class, obj=frame[0], txn=txn))
+                flushed += 1
+
+    def _background(self, ios, txn):
+        self.accesses += 1
+        if self.accesses % self.cleaner_interval == 0:
+            self._flush(ios, txn, list(self.frames), self.cleaner_batch,
+                        IOClass.REPLACEMENT_WRITE)
+        if self.checkpoint_interval and self.accesses % self.checkpoint_interval == 0:
+            self._flush(ios, txn, list(reversed(self.frames)), self.checkpoint_batch,
+                        IOClass.RECOVERY_WRITE)
+
+    def _miss(self, ios, txn, page, obj, dirty, scan_only):
+        if len(self.frames) >= self.capacity:
+            victim, (victim_obj, victim_dirty, _) = self.frames.popitem(last=False)
+            if victim_dirty:
+                ios.append(PoolIO(page=victim, io_class=IOClass.SYNCHRONOUS_WRITE,
+                                  obj=victim_obj, txn=txn))
+        self.frames[page] = [obj, dirty, scan_only]
+        if scan_only and len(self.frames) > 1:
+            self.frames.move_to_end(page, last=False)
+
+    def access(self, obj, index, write, txn, is_new_page):
+        page = obj.page(index)
+        ios = []
+        self._background(ios, txn)
+        frame = self.frames.get(page)
+        if frame is not None:
+            frame[1] = frame[1] or write
+            frame[2] = False
+            self.frames.move_to_end(page)
+            return ios
+        self._miss(ios, txn, page, obj, write, False)
+        if not is_new_page:
+            ios.append(PoolIO(page=page, io_class=IOClass.REGULAR_READ, obj=obj, txn=txn))
+        return ios
+
+    def scan(self, obj, start, length, txn, large):
+        ios = []
+        for index in range(start, min(start + length, obj.page_count)):
+            page = obj.page(index)
+            self._background(ios, txn)
+            frame = self.frames.get(page)
+            if frame is not None:
+                self.frames.move_to_end(page, last=not (large and frame[2]))
+                continue
+            self._miss(ios, txn, page, obj, False, large)
+            ios.append(PoolIO(page=page, io_class=IOClass.PREFETCH_READ, obj=obj, txn=txn))
+        return ios
+
+    def flush_all(self, txn):
+        ios = []
+        self._flush(ios, txn, list(self.frames), len(self.frames), IOClass.RECOVERY_WRITE)
+        return ios
+
+    def dirty_pages(self):
+        return sum(1 for frame in self.frames.values() if frame[1])
+
+
+_OBJECT_PAGES = {"BIG": 30, "A": 4, "B": 7}      # BIG exceeds the scan threshold
+_CAPACITY = 12
+
+_access_op = st.tuples(
+    st.just("access"),
+    st.sampled_from(sorted(_OBJECT_PAGES)),
+    st.integers(min_value=0, max_value=29),
+    st.booleans(),
+    st.booleans(),
+)
+_scan_op = st.tuples(
+    st.just("scan"),
+    st.sampled_from(sorted(_OBJECT_PAGES)),
+    st.integers(min_value=0, max_value=29),
+    st.integers(min_value=0, max_value=20),
+)
+# Mostly single-page accesses, so dirty pages pile up between cleaner runs.
+_pool_ops = st.lists(
+    st.one_of(_access_op, _access_op, _access_op, _access_op, _scan_op, st.just(("flush",))),
+    min_size=20,
+    max_size=200,
+)
+
+
+@pytest.mark.property
+class TestDirtyIndexEquivalence:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ops=_pool_ops,
+        cleaner_interval=st.integers(min_value=1, max_value=12),
+        cleaner_batch=st.integers(min_value=0, max_value=4),
+        checkpoint_interval=st.integers(min_value=0, max_value=12),
+        checkpoint_batch=st.integers(min_value=1, max_value=5),
+    )
+    def test_matches_frame_walk(
+        self, ops, cleaner_interval, cleaner_batch, checkpoint_interval, checkpoint_batch
+    ):
+        db = SyntheticDatabase()
+        objects = {name: db.add_object(name, pages=n) for name, n in _OBJECT_PAGES.items()}
+        knobs = dict(
+            cleaner_interval=cleaner_interval,
+            cleaner_batch=cleaner_batch,
+            checkpoint_interval=checkpoint_interval,
+            checkpoint_batch=checkpoint_batch,
+        )
+        pool = FirstTierBufferPool(capacity=_CAPACITY, **knobs)
+        reference = _FrameWalkPool(capacity=_CAPACITY, **knobs)
+        for txn, op in enumerate(ops):
+            if op[0] == "access":
+                _, name, index, write, is_new_page = op
+                obj = objects[name]
+                index %= obj.page_count
+                got = pool.access(obj, index, write=write, txn=txn, is_new_page=is_new_page)
+                want = reference.access(obj, index, write, txn, is_new_page)
+            elif op[0] == "scan":
+                _, name, start, length = op
+                obj = objects[name]
+                got = pool.scan(obj, start, length, txn=txn)
+                large = obj.page_count > 0.95 * _CAPACITY
+                want = reference.scan(obj, start, length, txn, large)
+            else:
+                got = pool.flush_all(txn=txn)
+                want = reference.flush_all(txn)
+            assert got == want
+            assert pool.dirty_pages() == reference.dirty_pages()
+            assert len(pool) == len(reference.frames)
+            assert all(page in pool for page in reference.frames)
+        assert pool.flush_all() == reference.flush_all(0)
+        assert pool.dirty_pages() == 0
