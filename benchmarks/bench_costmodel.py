@@ -11,7 +11,15 @@ for each.  Two gates make this a CI smoke test:
   when not requested;
 * **correctness gate** — for a position-independent device the per-request
   accumulator must price the run *exactly* like the analytic derivation
-  from the final hit/miss counts (``CostModel.latency_from_stats``).
+  from the final hit/miss counts (``CostModel.latency_from_stats``);
+* **HDD identity gate** — the fused replay's seek-priced
+  :class:`LatencyStats` (column head walk) must equal the ``columnar=False``
+  reference's (scalar per-request walk) field for field, for the unified
+  policy and for a 4-shard hash cluster (one head per shard);
+* **HDD throughput gate** — the hdd-priced replay must reach at least
+  ``HDD_THROUGHPUT_GATE`` of the cost-off replay's throughput: pricing
+  seeks on whole columns keeps the seek-aware observer off the critical
+  path.
 
 Run it standalone::
 
@@ -34,6 +42,12 @@ from repro.simulation.engine import MultiPolicySimulator
 #: factor (it additionally chunks the stream and scans chunk client ids).
 OVERHEAD_GATE = 1.35
 
+#: Minimum hdd-priced / cost-off replay throughput ratio.
+HDD_THROUGHPUT_GATE = 0.75
+
+#: Shards of the cluster the HDD identity gate prices (one head each).
+IDENTITY_SHARDS = 4
+
 
 def reference_replay(policy, requests) -> float:
     """The pre-cost-model fast path, inlined: one deque-driven map pass."""
@@ -42,9 +56,11 @@ def reference_replay(policy, requests) -> float:
     return time.perf_counter() - started
 
 
-def engine_replay(policy, requests, cost_model=None):
+def engine_replay(policy, requests, cost_model=None, columnar=True):
     started = time.perf_counter()
-    result = MultiPolicySimulator([policy], cost_model=cost_model).run(requests)[0]
+    result = MultiPolicySimulator(
+        [policy], cost_model=cost_model, columnar=columnar
+    ).run(requests)[0]
     return result, time.perf_counter() - started
 
 
@@ -131,10 +147,42 @@ def main(argv=None) -> int:
         print("FAIL: pricing changed the replay's hit ratio")
         ok = False
 
+    hdd_ratio = off_best / hdd_best
+    if hdd_ratio < HDD_THROUGHPUT_GATE:
+        print(
+            f"FAIL: hdd-priced replay runs at {hdd_ratio:.2f}x the cost-off "
+            f"replay's throughput (gate: >= {HDD_THROUGHPUT_GATE}x)"
+        )
+        ok = False
+    for label, policy_factory in (
+        ("unified", build),
+        (
+            f"{IDENTITY_SHARDS}-shard hash cluster",
+            lambda: create_policy(
+                "SHARDED",
+                capacity=args.capacity,
+                policy=args.policy,
+                shards=IDENTITY_SHARDS,
+                router="hash",
+            ),
+        ),
+    ):
+        fused, _ = engine_replay(policy_factory(), requests, hdd_model)
+        reference, _ = engine_replay(policy_factory(), requests, hdd_model, columnar=False)
+        if fused.latency != reference.latency or fused.shard_latency != reference.shard_latency:
+            print(
+                f"FAIL: {label} hdd pricing differs between the fused and the "
+                f"columnar=False replay\n  fused:     {fused.latency.as_dict()}\n"
+                f"  reference: {reference.latency.as_dict()}"
+            )
+            ok = False
+
     if ok:
         print(
             "\nPASS: cost-off within the overhead gate; ssd pricing matches "
-            "the analytic derivation"
+            "the analytic derivation; hdd pricing is identical to the "
+            f"reference (unified and {IDENTITY_SHARDS} shards) at "
+            f"{hdd_ratio:.2f}x the cost-off throughput"
         )
     return 0 if ok else 1
 

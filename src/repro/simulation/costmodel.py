@@ -30,6 +30,20 @@ which :class:`LatencyStats` reports p50/p99 without storing per-request
 samples; histograms merge by bucket-wise addition, so per-shard and
 per-worker results compose deterministically.
 
+Accumulators price a replay two ways that produce the same floats bit for
+bit.  The scalar :meth:`CostAccumulator.charge` / :meth:`~CostAccumulator
+.price` walk is the reference.  The column methods
+(:meth:`CostAccumulator.charge_batch`, :meth:`~CostAccumulator.price_batch`)
+price a whole chunk at once: the head moves only on device accesses (read
+misses, plus writes under write-through), so each device access's seek
+distance is its page minus the previous device access's page on the same
+head — a shifted difference over the masked page column, with the head
+position carried from chunk to chunk.  Exactness follows from numpy's
+IEEE-exact elementwise ``sqrt``, division and addition evaluated in the
+scalar order, running totals folded sequentially by ``np.add.accumulate``
+(never the pairwise ``np.sum``), and histogram buckets found by
+``searchsorted(side="left")``, which is ``bisect_left``.
+
 Everything here is pure arithmetic over the request stream — no clocks, no
 randomness — so cost-model results are bit-identical across processes and
 ``jobs=`` counts, exactly like the hit-ratio accounting they extend.
@@ -40,7 +54,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
+
+import numpy as np
 
 from repro.cache.base import CacheStats
 from repro.simulation.request import RequestKind
@@ -48,6 +64,7 @@ from repro.simulation.request import RequestKind
 if TYPE_CHECKING:  # imported for type annotations only
     from repro.simulation.cluster import ShardRouter
     from repro.simulation.request import IORequest
+    from repro.trace.columnar import ColumnarChunk
 
 __all__ = [
     "DeviceProfile",
@@ -79,11 +96,19 @@ HISTOGRAM_BUCKET_BOUNDS_US: tuple[float, ...] = (0.0,) + tuple(
     0.5 * 1.3**index for index in range(64)
 )
 _LAST_BUCKET = len(HISTOGRAM_BUCKET_BOUNDS_US) - 1
+_BOUNDS_US_ARRAY = np.array(HISTOGRAM_BUCKET_BOUNDS_US, dtype=np.float64)
 
 
 def _bucket_index(latency_us: float) -> int:
     """Index of the first bucket whose upper bound is >= *latency_us*."""
     return min(bisect_left(HISTOGRAM_BUCKET_BOUNDS_US, latency_us), _LAST_BUCKET)
+
+
+def _fold(total: float, values: Any) -> float:
+    """``total + values[0] + values[1] + ...``, added left to right exactly
+    as a scalar ``+=`` loop would (``np.add.accumulate`` is sequential;
+    ``np.sum`` is pairwise and would round differently)."""
+    return float(np.add.accumulate(np.concatenate(([total], values)))[-1])
 
 
 @dataclass
@@ -194,6 +219,17 @@ class LatencyStats:
         self.read_count += count
         self.total_read_us += latency_us * count
         self.read_histogram[_bucket_index(latency_us)] += count
+
+    def record_reads(self, latencies_us: Any) -> None:
+        """Record one read per entry of the ``float64`` column, in order —
+        exactly what a :meth:`record_read` call per entry would record."""
+        self.read_count += len(latencies_us)
+        self.total_read_us = _fold(self.total_read_us, latencies_us)
+        buckets = np.minimum(
+            np.searchsorted(_BOUNDS_US_ARRAY, latencies_us, side="left"), _LAST_BUCKET
+        )
+        counts = np.bincount(buckets, minlength=len(_BOUNDS_US_ARRAY)).tolist()
+        self.read_histogram = [a + b for a, b in zip(self.read_histogram, counts)]
 
     def record_write(self, latency_us: float, count: int = 1) -> None:
         """Record *count* writes that each took *latency_us*."""
@@ -445,11 +481,13 @@ class CostModel:
 class CostAccumulator:
     """Per-policy, per-run service-time accounting (one replay pass).
 
-    The engine calls :meth:`charge` once per (request, hit) outcome, in
-    stream order; :meth:`finalize` folds the constant-cost pricing classes
-    into the histogram and returns the run's :class:`LatencyStats`.  Only
-    seek devices pay per-request arithmetic beyond class counting — the
-    head-position walk that makes HDD misses distance-dependent.
+    The reference path calls :meth:`charge` once per (request, hit)
+    outcome, in stream order; the fused path calls :meth:`charge_batch`
+    once per chunk and records the same floats.  :meth:`finalize` folds the
+    constant-cost pricing classes into the histogram and returns the run's
+    :class:`LatencyStats`.  Only seek devices pay per-request arithmetic
+    beyond class counting — the head-position walk that makes HDD misses
+    distance-dependent.
     """
 
     __slots__ = (
@@ -520,21 +558,6 @@ class CostAccumulator:
                 self._latency.total_write_us += self._seek_to(request.page)
         return None
 
-    @property
-    def class_counting(self) -> bool:
-        """Whether pricing is purely by outcome class (position-independent
-        device): :meth:`charge` only bumps counters, so batch consumers may
-        fold whole-chunk counts via :meth:`charge_counts` instead.  False on
-        seek-aware devices, whose pricing depends on per-request order."""
-        return self._miss_const_us is not None
-
-    def charge_counts(self, read_hits: int, read_misses: int, writes: int) -> None:
-        """Batch equivalent of *n* :meth:`charge` calls on a class-counting
-        accumulator.  Only valid when :attr:`class_counting` is true."""
-        self._read_hits += read_hits
-        self._read_misses += read_misses
-        self._writes += writes
-
     def price(self, request: "IORequest", hit: bool) -> float:
         """The service time (us) :meth:`charge` would record for this event.
 
@@ -560,6 +583,76 @@ class CostAccumulator:
             return self._write_const_us + self._seek_to(request.page)
         return self._write_const_us
 
+    # ------------------------------------------------------------ column path
+    def _seeks(self, page: Any, write: Any, hit: Any) -> tuple[Any, Any]:
+        """The head walk over one chunk's columns: ``(device, seek_us)``.
+
+        ``device`` indexes the requests that reach the device (read misses,
+        plus every write when writes seek) and ``seek_us`` is each one's
+        seek cost, exactly what :meth:`_seek_to` returns for it in turn.
+        The head is left on the last device access.
+        """
+        moves = ~(write | hit)
+        if self._writes_seek:
+            moves |= write
+        device = np.flatnonzero(moves)
+        if not device.size:
+            return device, np.empty(0, np.float64)
+        pages = page[device]
+        previous = np.empty_like(pages)
+        previous[1:] = pages[:-1]
+        previous[0] = pages[0] if self._position is None else self._position
+        profile = self._profile
+        span = profile.seek_span
+        # seek_cost_us per element: a zero distance gives sqrt(0.0) == 0.0.
+        seek_us = profile.seek_us * np.sqrt(
+            np.minimum(np.abs(pages - previous), span) / span
+        )
+        if self._position is None:
+            seek_us[0] = profile.nominal_seek_us
+        self._position = int(pages[-1])
+        return device, seek_us
+
+    def charge_batch(self, chunk: "ColumnarChunk", hit: Any) -> None:
+        """Price a whole chunk given its hit column: the same records, in
+        the same order, as :meth:`charge` over the chunk's requests."""
+        self._charge_columns(chunk.page, chunk.write, hit)
+
+    def _charge_columns(self, page: Any, write: Any, hit: Any) -> None:
+        writes = int(np.count_nonzero(write))
+        read_hits = int(np.count_nonzero(hit & ~write))
+        self._writes += writes
+        self._read_hits += read_hits
+        if self._miss_const_us is not None:
+            self._read_misses += len(page) - writes - read_hits
+            return
+        device, seek_us = self._seeks(page, write, hit)
+        if not device.size:
+            return
+        profile = self._profile
+        on_write = write[device]
+        latency = self._latency
+        misses = seek_us[~on_write]
+        if misses.size:
+            latency.record_reads((profile.read_base_us + profile.read_transfer_us) + misses)
+        if self._writes_seek:
+            latency.total_write_us = _fold(latency.total_write_us, seek_us[on_write])
+
+    def price_batch(self, page: Any, write: Any, hit: Any) -> Any:
+        """The ``float64`` service-time column (us) :meth:`price` would
+        return for each request of the columns, in order (head walk
+        included)."""
+        miss_us = self._miss_const_us
+        if miss_us is None:
+            miss_us = self._profile.read_base_us + self._profile.read_transfer_us
+        service_us = np.where(
+            write, self._write_const_us, np.where(hit, self._hit_us, miss_us)
+        )
+        if self._miss_const_us is None:
+            device, seek_us = self._seeks(page, write, hit)
+            service_us[device] += seek_us
+        return service_us
+
     def finalize(self) -> LatencyStats:
         """Fold the class counters into the histogram and return the stats."""
         latency = self._latency
@@ -583,13 +676,15 @@ class ShardedCostAccumulator:
     """Seek-aware accounting for a sharded cluster: one head per shard.
 
     Each request is routed with the cluster's own router (a pure function
-    of the request — and :meth:`charge` runs after the facade's ``access``,
-    so stateful routers have already made their assignment) to a per-shard
-    :class:`CostAccumulator`, keeping every shard's seek head independent.
+    of the request — and pricing runs after the facade's access, so
+    stateful routers have already made their assignment) to a per-shard
+    :class:`CostAccumulator`, keeping every shard's seek head independent:
+    :meth:`charge` routes one request, :meth:`charge_batch` routes a chunk
+    with ``route_batch`` and prices each shard's sub-columns in order.
     :meth:`finalize` returns the merged fleet view — which is therefore
     *exactly* the sum of the per-shard breakdowns exposed by
-    :meth:`shard_latencies` — priced with the same per-request seek walk as
-    an unsharded policy, so unified-vs-cluster comparisons measure the
+    :meth:`shard_latencies` — priced with the same seek walk as an
+    unsharded policy, so unified-vs-cluster comparisons measure the
     topology, not the pricing method.
     """
 
@@ -602,6 +697,14 @@ class ShardedCostAccumulator:
 
     def charge(self, request: "IORequest", hit: bool) -> None:
         self._shards[self._router.route(request)].charge(request, hit)
+
+    def charge_batch(self, chunk: "ColumnarChunk", hit: Any) -> None:
+        shard_ids = self._router.route_batch(chunk)
+        page = chunk.page
+        write = chunk.write
+        for s, shard in enumerate(self._shards):
+            mask = shard_ids == s
+            shard._charge_columns(page[mask], write[mask], hit[mask])
 
     def finalize(self) -> LatencyStats:
         self._finalized = tuple(shard.finalize() for shard in self._shards)

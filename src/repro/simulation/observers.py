@@ -18,7 +18,10 @@ The observer contract (:class:`ReplayObserver`):
   event (via :meth:`~ReplayObserver.on_chunk`), so a batch-native
   ``on_batch`` override must produce exactly what ``on_outcome`` would.
   The engine's ``columnar=False`` mode runs every observer through that
-  default, which is how the overrides are checked.
+  default, which is how the overrides are checked.  Every built-in
+  observer — the seek-priced HDD cost and queueing observers included —
+  overrides ``on_batch``, so a fused replay materialises no request or
+  outcome object.
 * :meth:`~ReplayObserver.on_chunk_end` — the loop crossed a chunk boundary
   at sequence number ``seq_end`` (exclusive).  Observers declaring a
   :attr:`~ReplayObserver.boundary_interval` are guaranteed a call at every
@@ -49,7 +52,11 @@ from repro.cache.base import AccessOutcome, CacheStats
 if TYPE_CHECKING:  # imported for type annotations only
     from repro.cache.base import AccessOutcomeBatch
     from repro.simulation.cluster import ShardedCache
-    from repro.simulation.costmodel import CostAccumulator, LatencyStats
+    from repro.simulation.costmodel import (
+        CostAccumulator,
+        LatencyStats,
+        ShardedCostAccumulator,
+    )
     from repro.simulation.metrics import RollingMetrics
     from repro.simulation.request import IORequest
     from repro.trace.columnar import ColumnarChunk
@@ -266,50 +273,27 @@ class CostObserver(ReplayObserver):
     """Service-time pricing as an observer, wrapping a cost accumulator.
 
     The accumulator (:class:`~repro.simulation.costmodel.CostAccumulator` or
-    its sharded variant) stays the pricing kernel; this observer feeds it
-    the ``(request, hit)`` series in stream order, which preserves the
-    seek-aware head walk bit for bit.  Segment merging folds the finalized
-    :class:`LatencyStats` — exact for position-independent devices; on seek
-    devices each segment's first access is priced at the nominal seek (the
-    same convention as any fresh run).
+    its sharded variant) stays the pricing kernel.  The reference feed
+    (``on_outcome``) charges it one ``(request, hit)`` event at a time;
+    :meth:`on_batch` hands it whole columns (``charge_batch``), which walk
+    the seek head over each chunk's device accesses and record the same
+    floats bit for bit, on every device.  Segment merging folds the
+    finalized :class:`LatencyStats` — exact for position-independent
+    devices; on seek devices each segment's first access is priced at the
+    nominal seek (the same convention as any fresh run).
     """
 
     __slots__ = ("_accumulator", "_merged")
 
-    def __init__(self, accumulator: "CostAccumulator"):
+    def __init__(self, accumulator: "CostAccumulator | ShardedCostAccumulator"):
         self._accumulator = accumulator
         self._merged: list[CostObserver] = []
 
     def on_outcome(self, request: IORequest, seq: int, outcome: AccessOutcome) -> None:
         self._accumulator.charge(request, outcome.hit)
 
-    def on_chunk(
-        self,
-        requests: Sequence[IORequest],
-        seq_base: int,
-        outcomes: Sequence[AccessOutcome],
-    ) -> None:
-        charge = self._accumulator.charge
-        for request, outcome in zip(requests, outcomes):
-            charge(request, outcome.hit)
-
     def on_batch(self, chunk: "ColumnarChunk", batch: "AccessOutcomeBatch") -> None:
-        accumulator = self._accumulator
-        if getattr(accumulator, "class_counting", False):
-            # Position-independent pricing: fold whole-chunk class counts.
-            write = chunk.write
-            hit = batch.hit
-            writes = int(np.count_nonzero(write))
-            read_hits = int(np.count_nonzero(hit & ~write))
-            accumulator.charge_counts(
-                read_hits, len(chunk) - writes - read_hits, writes
-            )
-            return
-        # Seek-aware (or sharded seek-aware) accumulators need the exact
-        # per-request head walk, which reads only each request's hit bit.
-        charge = accumulator.charge
-        for request, hit in zip(chunk.requests(), batch.hit.tolist()):
-            charge(request, hit)
+        self._accumulator.charge_batch(chunk, batch.hit)
 
     def merge(self, other: "CostObserver") -> None:
         self._merged.append(other)

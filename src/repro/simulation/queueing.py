@@ -25,14 +25,16 @@ exactly, and the integral cut at the last arrival ``T`` (the ``L``
 numerator of Little's law) is ``sum(sojourn_i) - sum(max(0, d_i - T))``
 over departure times ``d_i`` — so the hot loop only records departures.
 
-Single-server position-independent replays (the whole default ``load``
-sweep) fed through ``on_batch`` run the Lindley recursion vectorised: with
-service prefix sums ``S_i`` the recursion unrolls to
+``on_batch`` prices each chunk as whole columns — the cost accumulators'
+``price_batch``, which walks each shard's seek head over the chunk's device
+accesses on HDD — and converts the service times to the integer clock.
+Single-server replays, on every device, then run the Lindley recursion
+vectorised: with service prefix sums ``S_i`` the recursion unrolls to
 ``depart_i = S_i + max(busy_0, max_{j<=i}(t_j - S_{j-1}))`` — a cumsum
-plus a running maximum, exact in ``int64``.  The scalar per-event walk
-(``on_chunk``/``on_outcome``, and ``on_batch`` for seek devices and
-multi-server shards) is the reference and produces the same integers bit
-for bit.
+plus a running maximum, exact in ``int64``.  Multi-server shards admit the
+priced column through the scalar queues.  The per-event walk
+(``on_chunk``/``on_outcome``: scalar ``price`` and scalar admission) is
+the reference and produces the same integers bit for bit.
 
 It is packaged as a :class:`ReplayObserver` (:class:`QueueingObserver`):
 the replay loop feeds it the outcome stream, it prices each outcome with
@@ -65,14 +67,11 @@ import numpy as np
 
 from repro.simulation.costmodel import (
     HISTOGRAM_BUCKET_BOUNDS_US,
-    WRITE_POLICIES,
     CostModel,
     DeviceProfile,
-    make_device_profile,
 )
 from repro.simulation.cluster import HashRouter
 from repro.simulation.observers import ReplayObserver
-from repro.simulation.request import RequestKind, read_request, write_request
 from repro.workloads.arrivals import ArrivalProcess
 
 if TYPE_CHECKING:  # imported for type annotations only
@@ -94,16 +93,6 @@ _BOUNDS_NS: tuple[int, ...] = tuple(
     int(bound * 1000.0 + 0.5) for bound in HISTOGRAM_BUCKET_BOUNDS_US
 )
 _BOUNDS_NS_ARRAY = np.array(_BOUNDS_NS, dtype=np.int64)
-
-#: Throwaway requests used to probe a device's constant price classes.
-_PROBE_READ = read_request(page=0)
-_PROBE_WRITE = write_request(page=0)
-
-
-def _to_ns(latency_us: float) -> int:
-    """A microsecond service/arrival time on the integer nanosecond clock."""
-    return int(latency_us * 1000.0 + 0.5)
-
 
 def _histogram_percentile(histogram: Sequence[int], count: int, quantile: float) -> float:
     """Bucket-bound quantile, same convention as ``LatencyStats``: the upper
@@ -339,15 +328,16 @@ class QueueingModel:
             raise TypeError(
                 f"arrivals must be an ArrivalProcess, got {type(self.arrivals).__name__}"
             )
-        if self.servers_per_shard < 1:
-            raise ValueError(
-                f"servers_per_shard must be >= 1, got {self.servers_per_shard}"
+        servers = self.servers_per_shard
+        if isinstance(servers, bool) or not isinstance(servers, int):
+            raise TypeError(
+                f"servers_per_shard must be an int, got {type(servers).__name__}"
             )
-        if self.write_policy not in WRITE_POLICIES:
-            raise ValueError(
-                f"unknown write policy {self.write_policy!r}; available: {WRITE_POLICIES}"
-            )
-        make_device_profile(self.device)  # validate the device name eagerly
+        if servers < 1:
+            raise ValueError(f"servers_per_shard must be >= 1, got {servers}")
+        # Building the pricer validates the device, the write policy and the
+        # page span here, not when an observer is built inside a worker.
+        self.cost_model()
 
     def cost_model(self) -> CostModel:
         """A fresh service-time pricer with this model's parameters."""
@@ -413,7 +403,7 @@ class _ArrivalTape:
                 f"chunks in order (expected seq {self._next_seq}, got {seq_base})"
             )
         # Elementwise multiply/add then truncate: per value exactly
-        # ``int(t * 1000.0 + 0.5)`` (:func:`_to_ns`).
+        # ``int(t * 1000.0 + 0.5)``, the clock's one microsecond conversion.
         times_us = np.fromiter(self._times, np.float64, n)
         self._arrivals_ns = (times_us * 1000.0 + 0.5).astype(np.int64)
         self._mixed_pages = None
@@ -422,16 +412,27 @@ class _ArrivalTape:
         return self._arrivals_ns
 
     def mixed_pages(self, chunk: "ColumnarChunk") -> Any:
-        """The murmur-mixed page ids of the current chunk (``uint64``).
+        """The murmur-mixed page ids of *chunk* (``uint64``).
 
         :class:`~repro.simulation.cluster.HashRouter` routes via
         ``mix(page) % shards``; the mix is shard-count-independent, so one
         shared column serves every hash-routed cluster in the run.  The
         wrapping uint64 pipeline is exact — identical to the scalar
-        ``_mix_page``."""
+        ``_mix_page``.  The tape is first moved to *chunk* (drawing its
+        arrivals if no observer has yet), so the cached column always
+        belongs to the chunk asked about."""
+        self.arrivals_ns(chunk.seq_base, len(chunk))
         if self._mixed_pages is None:
             self._mixed_pages = _mix_column(chunk.page.astype(np.uint64))
         return self._mixed_pages
+
+
+def _lindley_departures(arrivals_ns: Any, service_ns: Any) -> Any:
+    """Departure times of one single-server FCFS queue starting idle: the
+    unrolled Lindley recursion of the module docstring (``busy_0 = 0``)."""
+    prefix = np.cumsum(service_ns)
+    running = np.maximum.accumulate(arrivals_ns - prefix + service_ns)
+    return prefix + np.maximum(running, 0)
 
 
 class _SingleServerQueue:
@@ -483,18 +484,20 @@ class QueueingObserver(ReplayObserver):
     """Feeds the outcome stream through per-shard FCFS queues.
 
     Per outcome, in stream order: read the arrival timestamp from the
-    (possibly shared) arrival tape, price the service time, resolve the
-    Lindley recursion against the routed shard's servers, and record
-    queueing delay + sojourn into the shared-bucket histograms.  Never
-    mutates requests, outcomes or the policy.
+    (possibly shared) arrival tape, price the service time with the routed
+    shard's own cost accumulator, resolve the Lindley recursion against
+    that shard's servers, and record queueing delay + sojourn into the
+    shared-bucket histograms.  Never mutates requests, outcomes or the
+    policy.
 
-    Position-independent devices price by outcome class, so their service
-    times come from three probed constants; seek devices (HDD) price each
-    event through this observer's own per-shard cost accumulators.
-    Single-server constant-price replays fed through :meth:`on_batch` bank
-    their columns for one vectorised Lindley pass at finalize time; the
-    scalar walk of :meth:`on_chunk` is the reference and produces identical
-    integers.  One observer is fed one way or the other, never both.
+    The reference feed (:meth:`on_chunk`) prices and admits event by
+    event.  :meth:`on_batch` prices each chunk as one column (the
+    accumulators' ``price_batch``, seek head walk included) and routes it
+    with ``route_batch``; single-server observers bank the service and
+    shard columns for one vectorised Lindley pass at finalize time, and
+    multi-server ones admit the priced column through the scalar queues.
+    Both feeds produce identical integers.  One single-server observer is
+    fed one way or the other, never both.
     """
 
     __slots__ = (
@@ -505,11 +508,10 @@ class QueueingObserver(ReplayObserver):
         "_tape",
         "_queues",
         "_pricers",
-        "_service_ns",
+        "_seek_priced",
         "_vector",
         "_arrival_chunks",
-        "_read_chunks",
-        "_hit_chunks",
+        "_service_chunks",
         "_shard_chunks",
         "_departs",
         "_count",
@@ -548,22 +550,12 @@ class QueueingObserver(ReplayObserver):
             self._router = None
         shard_count = self._shard_count
         servers = model.servers_per_shard
-        if cost_model.profile.position_dependent:
-            # Seek devices: one accumulator (head) per shard, priced per event.
-            self._service_ns = None
-            self._pricers = [cost_model.accumulator() for _ in range(shard_count)]
-        else:
-            # Three price classes; probing price() keeps the constants
-            # byte-for-byte what per-event pricing would produce.
-            probe = cost_model.accumulator()
-            self._service_ns = (
-                _to_ns(probe.price(_PROBE_READ, True)),
-                _to_ns(probe.price(_PROBE_READ, False)),
-                _to_ns(probe.price(_PROBE_WRITE, False)),
-            )
-            self._pricers = []
+        # One accumulator (seek head) per shard; position-independent
+        # devices have no head, so their pricers are interchangeable.
+        self._pricers = [cost_model.accumulator() for _ in range(shard_count)]
+        self._seek_priced = cost_model.profile.position_dependent
         #: Whether on_batch banks columns for the vectorised pass.
-        self._vector = servers == 1 and self._service_ns is not None
+        self._vector = servers == 1
         if servers == 1:
             self._queues = [_SingleServerQueue() for _ in range(shard_count)]
         else:
@@ -571,8 +563,7 @@ class QueueingObserver(ReplayObserver):
         self._delay_hist = _fresh_histogram()
         self._sojourn_hist = _fresh_histogram()
         self._arrival_chunks: list = []
-        self._read_chunks: list = []
-        self._hit_chunks: list = []
+        self._service_chunks: list = []
         self._shard_chunks: list = []
         self._tape = tape if tape is not None else _ArrivalTape(model.arrivals, start_seq)
         self._departs: list = []
@@ -594,55 +585,83 @@ class QueueingObserver(ReplayObserver):
         seq_base: int,
         outcomes: Sequence["AccessOutcome"],
     ) -> None:
-        self._chunk_scalar(requests, seq_base, [outcome.hit for outcome in outcomes])
+        """The reference feed: route and price each event on its own."""
+        if not requests:
+            return
+        route = self._route
+        if route is None:
+            shards = [0] * len(requests)
+        else:
+            shards = [route(request) for request in requests]
+        pricers = self._pricers
+        service_ns = [
+            int(pricers[shard].price(request, outcome.hit) * 1000.0 + 0.5)
+            for request, outcome, shard in zip(requests, outcomes, shards)
+        ]
+        self._admit(self._tape.arrivals_ns(seq_base, len(requests)), service_ns, shards)
 
     def on_batch(self, chunk: "ColumnarChunk", batch: "AccessOutcomeBatch") -> None:
-        if not len(chunk):
+        n = len(chunk)
+        if not n:
             return
+        if self._route is None:
+            shard_ids = None
+        elif type(self._router) is HashRouter:
+            # mix(page) % shards on the tape's shared mixed pages; uint64
+            # modulo matches the scalar route() bit for bit.
+            mixed = self._tape.mixed_pages(chunk)
+            shard_ids = (mixed % np.uint64(self._shard_count)).astype(np.int64)
+        else:
+            shard_ids = self._router.route_batch(chunk)
+        service_ns = self._service_column(chunk, batch.hit, shard_ids)
+        arrivals_ns = self._tape.arrivals_ns(chunk.seq_base, n)
         if not self._vector:
-            # Seek devices and multi-server shards need the per-event scalar
-            # walk, which reads only each request's hit bit.
-            self._chunk_scalar(chunk.requests(), chunk.seq_base, batch.hit.tolist())
+            shards = [0] * n if shard_ids is None else shard_ids.tolist()
+            self._admit(arrivals_ns, service_ns.tolist(), shards)
             return
         # The integer Lindley recursion is chunk-boundary-free, so nothing
-        # per-chunk depends on queue state: bank the columns (shared
-        # references to the tape's and the chunk's arrays, not copies) and
-        # run pricing, recursion, totals and histograms once over the whole
-        # series in :meth:`_finalize_own`.
-        arrivals_ns = self._tape.arrivals_ns(chunk.seq_base, len(chunk))
+        # per-chunk depends on queue state: bank the columns (the arrival
+        # column is a shared reference to the tape's array) and run the
+        # recursion, totals and histograms once over the whole series in
+        # :meth:`_finalize_own`.
         if self._first_ns is None:
             self._first_ns = int(arrivals_ns[0])
         self._arrival_chunks.append(arrivals_ns)
-        self._read_chunks.append(~chunk.write)
-        self._hit_chunks.append(batch.hit)
-        if self._route is not None:
-            if type(self._router) is HashRouter:
-                self._shard_chunks.append(self._tape.mixed_pages(chunk))
-            else:
-                self._shard_chunks.append(self._router.route_batch(chunk))
-        self._count += len(chunk)
+        self._service_chunks.append(service_ns)
+        if shard_ids is not None:
+            self._shard_chunks.append(shard_ids)
+        self._count += n
         self._last_ns = int(arrivals_ns[-1])
 
     # ------------------------------------------------------------ chunk paths
-    def _chunk_scalar(
-        self, requests: Sequence["IORequest"], seq_base: int, hits: Sequence[bool]
+    def _service_column(self, chunk: "ColumnarChunk", hit: Any, shard_ids: Any) -> Any:
+        """The chunk's ``int64`` service times (ns), priced as columns by
+        the routed shards' accumulators — per value exactly
+        ``int(price(request, hit) * 1000.0 + 0.5)``."""
+        page = chunk.page
+        write = chunk.write
+        if shard_ids is None or not self._seek_priced:
+            service_us = self._pricers[0].price_batch(page, write, hit)
+        else:
+            service_us = np.empty(len(chunk), np.float64)
+            for shard, pricer in enumerate(self._pricers):
+                mask = shard_ids == shard
+                service_us[mask] = pricer.price_batch(page[mask], write[mask], hit[mask])
+        return (service_us * 1000.0 + 0.5).astype(np.int64)
+
+    def _admit(
+        self,
+        arrivals: Any,
+        service_ns: Sequence[int],
+        shards: Sequence[int],
     ) -> None:
-        """One chunk through the scalar queues, event by event (the
-        reference for the vector pass: same integers)."""
-        if not requests:
-            return
-        arrivals = self._tape.arrivals_ns(seq_base, len(requests))
+        """Admit one priced chunk through the scalar queues, event by event
+        (the reference for the vector pass: same integers)."""
         if self._first_ns is None:
             self._first_ns = int(arrivals[0])
-        self._count += len(requests)
+        self._count += len(service_ns)
         self._last_ns = int(arrivals[-1])
-        consts = self._service_ns
-        if consts is not None:
-            hit_ns, miss_ns, write_ns = consts
-        route = self._route
         queues = self._queues
-        pricers = self._pricers
-        read = RequestKind.READ
         bounds = _BOUNDS_NS
         last_bucket = _LAST_BUCKET
         bisect = bisect_left
@@ -652,15 +671,7 @@ class QueueingObserver(ReplayObserver):
         total_delay = 0
         total_sojourn = 0
         total_service = 0
-        for t_ns, request, hit in zip(arrivals.tolist(), requests, hits):
-            shard = route(request) if route is not None else 0
-            if consts is not None:
-                if request.kind is read:
-                    service = hit_ns if hit else miss_ns
-                else:
-                    service = write_ns
-            else:
-                service = int(pricers[shard].price(request, hit) * 1000.0 + 0.5)
+        for t_ns, service, shard in zip(arrivals.tolist(), service_ns, shards):
             delay = queues[shard].admit(t_ns, service)
             sojourn = delay + service
             departs_append(t_ns + sojourn)
@@ -681,54 +692,30 @@ class QueueingObserver(ReplayObserver):
             raise ValueError("cannot merge QueueingObservers of different models")
         self._merged.append(other)
 
-    def _replay_vector(self) -> tuple[Any, Any, Any, Any, int]:
+    def _replay_vector(self) -> tuple[Any, Any, Any, Any]:
         """The banked chunks through the int64 Lindley recursion, whole.
 
-        Returns ``(delay, sojourn, depart, service, last_departure_ns)``
-        arrays over the full segment (sharded segments return them grouped
-        by shard — the per-event order is irrelevant to every consumer:
-        totals, histograms and the departure overhang are all
-        order-independent sums).
+        Returns ``(delay, sojourn, depart, service)`` arrays over the full
+        segment in stream order; each shard's recursion runs over its own
+        sub-stream.  The banks are consumed: :meth:`_finalize_own` caches
+        its result, so they are never read again.
         """
-        hit_ns, miss_ns, write_ns = self._service_ns
         arrivals = np.concatenate(self._arrival_chunks)
-        reads = np.concatenate(self._read_chunks)
-        hits = np.concatenate(self._hit_chunks)
-        service = np.where(reads, np.where(hits, hit_ns, miss_ns), write_ns)
+        service = np.concatenate(self._service_chunks)
+        self._arrival_chunks.clear()
+        self._service_chunks.clear()
         if self._route is None:
-            prefix = np.cumsum(service)
-            running = np.maximum.accumulate(arrivals - prefix + service)
-            depart = prefix + np.maximum(running, 0)
-            delay = depart - service - arrivals
-            sojourn = depart - arrivals
-            return delay, sojourn, depart, service, int(depart[-1])
-        shard_ids = np.concatenate(self._shard_chunks)
-        if type(self._router) is HashRouter:
-            # mix(page) % shards, on the mixed pages banked from the shared
-            # tape; uint64 modulo matches the scalar route() bit for bit.
-            shard_ids = (shard_ids % np.uint64(self._shard_count)).astype(np.int64)
-        delays, sojourns, departs = [], [], []
-        last_departure = 0
-        for shard in range(self._shard_count):
-            mask = shard_ids == shard
-            if not mask.any():
-                continue
-            t_shard = arrivals[mask]
-            s_shard = service[mask]
-            prefix = np.cumsum(s_shard)
-            running = np.maximum.accumulate(t_shard - prefix + s_shard)
-            d_shard = prefix + np.maximum(running, 0)
-            last_departure = max(last_departure, int(d_shard[-1]))
-            delays.append(d_shard - s_shard - t_shard)
-            sojourns.append(d_shard - t_shard)
-            departs.append(d_shard)
-        return (
-            np.concatenate(delays),
-            np.concatenate(sojourns),
-            np.concatenate(departs),
-            service,
-            last_departure,
-        )
+            depart = _lindley_departures(arrivals, service)
+        else:
+            shard_ids = np.concatenate(self._shard_chunks)
+            self._shard_chunks.clear()
+            depart = np.empty_like(arrivals)
+            for shard in range(self._shard_count):
+                mask = shard_ids == shard
+                if mask.any():
+                    depart[mask] = _lindley_departures(arrivals[mask], service[mask])
+        sojourn = depart - arrivals
+        return sojourn - service, sojourn, depart, service
 
     def _finalize_own(self) -> QueueingStats:
         """Fold this segment into stats via the two accounting identities
@@ -748,9 +735,10 @@ class QueueingObserver(ReplayObserver):
                         "QueueingObserver was fed through both on_chunk and "
                         "on_batch; one replay must use one feed"
                     )
-                delay, sojourn, departs, service, last_departure = (
-                    self._replay_vector()
-                )
+                delay, sojourn, departs, service = self._replay_vector()
+                # Each single-server shard departs in arrival order, so the
+                # maximum is the last shard-local departure.
+                last_departure = int(departs.max())
                 self._total_delay_ns = int(delay.sum())
                 self._total_sojourn_ns = int(sojourn.sum())
                 self._total_service_ns = int(service.sum())

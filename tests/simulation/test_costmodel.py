@@ -4,23 +4,33 @@ from __future__ import annotations
 
 import pickle
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.cache.base import CacheStats
+from repro.cache.base import AccessOutcomeBatch, CacheStats
 from repro.cache.lru import LRUPolicy
-from repro.simulation.cluster import ShardedCache
+from repro.cache.registry import create_policy
+from repro.simulation.cluster import ShardedCache, make_router
 from repro.simulation.costmodel import (
     DEVICE_PROFILES,
     HISTOGRAM_BUCKET_BOUNDS_US,
     CostModel,
     DeviceProfile,
     LatencyStats,
+    ShardedCostAccumulator,
     make_device_profile,
 )
 from repro.simulation.engine import MultiPolicySimulator, ParallelSweepRunner, PolicySpec, SweepCell
+from repro.simulation.queueing import QueueingModel
+from repro.simulation.request import read_request, write_request
 from repro.simulation.simulator import CacheSimulator, simulate
+from repro.trace.columnar import ColumnarChunk
+from repro.workloads.arrivals import PoissonArrivals
 
 from tests.conftest import rd, wr
+from tests.strategies import chunked, priced_streams
 
 
 def small_trace(pages: int = 40, repeats: int = 6) -> list:
@@ -386,3 +396,153 @@ class TestEngineIntegration:
             for a, b in zip(serial.series[label], parallel.series[label]):
                 assert a.x == b.x
                 assert a.result.latency.as_dict() == b.result.latency.as_dict()
+
+
+# ------------------------------------------------------------ column pricing
+#: The seek span of the property tests: generated pages run to ~5x past it
+#: (``priced_streams`` draws pages up to 320), so the
+#: ``min(distance, seek_span)`` clamp is exercised.
+_SPAN = 64
+_MAX_PAGE = 320
+
+
+def _router(name, shards):
+    return make_router(name, shards, page_span=_MAX_PAGE + 1)
+
+
+_ROUTINGS = st.sampled_from([None, "hash", "range", "client"])
+
+
+@pytest.mark.property
+class TestColumnPricing:
+    """The column methods (``charge_batch``/``price_batch``) against the
+    scalar ``charge``/``price`` reference, compared with ``==``."""
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        stream=priced_streams(max_page=_MAX_PAGE),
+        write_policy=st.sampled_from(["write-through", "write-back"]),
+        routing=_ROUTINGS,
+        shards=st.integers(1, 4),
+    )
+    def test_charge_batch_matches_charge(self, stream, write_policy, routing, shards):
+        requests, hits, cuts = stream
+        model = CostModel("hdd", write_policy=write_policy, page_span=_SPAN)
+
+        def accumulator():
+            if routing is None:
+                return model.accumulator()
+            return ShardedCostAccumulator(model, _router(routing, shards), shards)
+
+        scalar, column = accumulator(), accumulator()
+        for request, hit in zip(requests, hits):
+            scalar.charge(request, hit)
+        for _, chunk, hit in chunked(requests, hits, cuts):
+            column.charge_batch(chunk, hit)
+        assert column.finalize() == scalar.finalize()
+        assert column.shard_latencies() == scalar.shard_latencies()
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        stream=priced_streams(max_page=_MAX_PAGE),
+        write_policy=st.sampled_from(["write-through", "write-back"]),
+        routing=_ROUTINGS,
+        shards=st.integers(1, 4),
+    )
+    def test_price_batch_matches_price(self, stream, write_policy, routing, shards):
+        """The service-time sequence, one head per shard, carried across
+        chunks."""
+        requests, hits, cuts = stream
+        model = CostModel("hdd", write_policy=write_policy, page_span=_SPAN)
+        if routing is None:
+            shards = 1
+        scalar_router, column_router = _router(routing or "hash", shards), _router(
+            routing or "hash", shards
+        )
+        pricers = [model.accumulator() for _ in range(shards)]
+        expected = [
+            pricers[scalar_router.route(request)].price(request, hit)
+            for request, hit in zip(requests, hits)
+        ]
+        pricers = [model.accumulator() for _ in range(shards)]
+        priced = np.full(len(requests), np.nan)
+        for offset, chunk, hit in chunked(requests, hits, cuts):
+            shard_ids = column_router.route_batch(chunk)
+            for shard, pricer in enumerate(pricers):
+                index = np.flatnonzero(shard_ids == shard)
+                priced[offset + index] = pricer.price_batch(
+                    chunk.page[index], chunk.write[index], hit[index]
+                )
+        assert priced.tolist() == expected
+
+    def test_idle_chunks_leave_the_head_in_place(self):
+        """All-hit and empty chunks reach no device: the next miss seeks
+        from the last device access, not from a fresh head."""
+        model = CostModel("hdd", page_span=_SPAN)
+        requests = [read_request(page=5), read_request(page=60), read_request(page=9)]
+        hits = [False, True, False]
+        scalar, column = model.accumulator(), model.accumulator()
+        for request, hit in zip(requests, hits):
+            scalar.charge(request, hit)
+        for _, chunk, hit in chunked(requests, hits, [1, 1, 2]):
+            column.charge_batch(chunk, hit)
+        expected = scalar.finalize()
+        assert column.finalize() == expected
+        profile = model.profile
+        assert expected.total_read_us == (
+            2 * (profile.read_base_us + profile.read_transfer_us)
+            + profile.nominal_seek_us
+            + profile.seek_cost_us(4)
+        ) + profile.cache_hit_us
+
+    def test_position_independent_devices_count_classes(self):
+        model = CostModel("ssd")
+        requests = small_trace()
+        hits = [index % 3 == 0 for index in range(len(requests))]
+        scalar, column = model.accumulator(), model.accumulator()
+        for request, hit in zip(requests, hits):
+            scalar.charge(request, hit)
+        for _, chunk, hit in chunked(requests, hits, [17, 90]):
+            column.charge_batch(chunk, hit)
+        assert column.finalize() == scalar.finalize()
+
+
+class TestFusedReplayMaterialisesNothing:
+    """A fused single-server HDD replay with cost and queueing attached
+    never falls back to request objects or scalar outcomes."""
+
+    @pytest.mark.parametrize("router", [None, "hash", "range", "client"])
+    def test_no_materialisation(self, monkeypatch, router):
+        from repro.core.hints import make_hint_set
+
+        hint_sets = [make_hint_set(client, table=1) for client in ("a", "b", "c")]
+        requests = [
+            (write_request if seq % 5 == 0 else read_request)(
+                page=(seq * 37) % 700, hints=hint_sets[seq % 3]
+            )
+            for seq in range(6_000)
+        ]
+        if router is None:
+            policy = create_policy("LRU", capacity=90)
+        else:
+            kwargs = {"page_span": 700} if router == "range" else {}
+            policy = create_policy(
+                "SHARDED", capacity=90, policy="LRU", shards=4, router=router, **kwargs
+            )
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the fused replay materialised a chunk")
+
+        monkeypatch.setattr(ColumnarChunk, "requests", refuse)
+        monkeypatch.setattr(AccessOutcomeBatch, "outcomes", refuse)
+        result = MultiPolicySimulator(
+            [policy],
+            cost_model=CostModel("hdd", page_span=700),
+            queueing_model=QueueingModel(
+                arrivals=PoissonArrivals(rate_rps=200.0, seed=5),
+                device="hdd",
+                page_span=700,
+            ),
+        ).run(requests)[0]
+        assert result.latency.request_count == len(requests)
+        assert result.queueing.request_count == len(requests)

@@ -29,7 +29,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.cache.base import HIT, MISS_ADMIT
+from repro.cache.base import HIT, MISS_ADMIT, AccessOutcomeBatch
 from repro.cache.registry import create_policy
 from repro.simulation.costmodel import HISTOGRAM_BUCKET_BOUNDS_US, CostModel
 from repro.simulation.queueing import QueueingModel, QueueingObserver, QueueingStats
@@ -37,7 +37,7 @@ from repro.simulation.request import RequestKind, read_request
 from repro.simulation.simulator import simulate
 from repro.workloads.arrivals import PoissonArrivals
 
-from tests.strategies import request_streams
+from tests.strategies import chunked, priced_streams, request_streams
 
 #: SSD pricing classes under write-through (see DEVICE_PROFILES["ssd"]):
 #: the independent reference prices from these constants, not the cost model.
@@ -295,7 +295,6 @@ class TestStructuralLaws:
         per-event walk (fed through on_chunk) are the same simulation: every
         field of the finalized stats — totals, histograms, areas — is
         bit-identical, fed chunk by chunk."""
-        from repro.cache.base import AccessOutcomeBatch
         from repro.simulation.request import write_request
         from repro.trace.columnar import ColumnarChunk
 
@@ -327,10 +326,49 @@ class TestStructuralLaws:
         assert vector.finalize() == scalar.finalize()
         assert scalar.finalize().request_count == len(stream)
 
+    @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        stream=priced_streams(),
+        write_policy=st.sampled_from(["write-through", "write-back"]),
+        routing=st.sampled_from([None, "hash", "range", "client"]),
+        shards=st.integers(1, 4),
+        servers=st.sampled_from([1, 2]),
+    )
+    def test_seek_priced_batch_feed_matches_reference(
+        self, stream, write_policy, routing, shards, servers
+    ):
+        """HDD pricing (one seek head per shard, carried across chunks)
+        through on_batch equals the per-event reference walk, integer for
+        integer — for the banked vector pass and the multi-server queues."""
+        requests, hits, cuts = stream
+        model = _poisson_model(
+            3_000.0,
+            device="hdd",
+            write_policy=write_policy,
+            page_span=64,
+            servers_per_shard=servers,
+        )
+
+        def observer():
+            if routing is None:
+                return QueueingObserver(model, _NoPolicy(), 0)
+            kwargs = {"page_span": 321} if routing == "range" else {}
+            cluster = create_policy(
+                "SHARDED", capacity=8, policy="LRU", shards=shards, router=routing, **kwargs
+            )
+            return QueueingObserver(model, cluster, 0)
+
+        reference, fused = observer(), observer()
+        outcomes = [HIT if hit else MISS_ADMIT for hit in hits]
+        for offset, chunk, hit in chunked(requests, hits, cuts):
+            stop = offset + len(chunk)
+            reference.on_chunk(requests[offset:stop], offset, outcomes[offset:stop])
+            fused.on_batch(chunk, AccessOutcomeBatch.from_outcomes(outcomes[offset:stop]))
+        assert fused.finalize() == reference.finalize()
+
     def test_one_observer_takes_one_feed(self):
         """Mixing the two feeds in one observer would splice two queue
         states; finalize refuses instead of reporting either."""
-        from repro.cache.base import AccessOutcomeBatch
         from repro.trace.columnar import ColumnarChunk
 
         requests = _all_miss_reads(20)
@@ -416,6 +454,21 @@ class TestModelAndPlumbing:
         with pytest.raises(ValueError, match="unknown device"):
             QueueingModel(arrivals=arrivals, device="floppy")
 
+    @pytest.mark.parametrize("page_span", [0, -5])
+    def test_model_rejects_empty_page_span_at_construction(self, page_span):
+        """Regression: a non-positive page span used to pass construction
+        and raise only when an observer built its pricer (possibly inside
+        a sweep worker)."""
+        with pytest.raises(ValueError, match="seek_span"):
+            QueueingModel(arrivals=PoissonArrivals(1_000.0), page_span=page_span)
+
+    @pytest.mark.parametrize("servers", [1.5, True, "2"])
+    def test_model_rejects_non_int_servers(self, servers):
+        """Regression: ``servers_per_shard=1.5`` used to pass construction
+        and fail later with a TypeError in the multi-server queue."""
+        with pytest.raises(TypeError, match="servers_per_shard"):
+            QueueingModel(arrivals=PoissonArrivals(1_000.0), servers_per_shard=servers)
+
     def test_model_hashable_and_picklable(self):
         model = _poisson_model(3_000.0, device="nvme", servers_per_shard=2)
         assert hash(model) == hash(pickle.loads(pickle.dumps(model)))
@@ -440,6 +493,34 @@ class TestModelAndPlumbing:
         for column in QueueingStats().report_columns():
             assert column in row
         assert row["utilization"] == result.queueing.utilization
+
+    def test_hash_clusters_sharing_a_tape_route_every_chunk(self):
+        """Hash-routed clusters of one replay share the tape's mixed-page
+        column; every chunk must be routed on its own pages.  Regression:
+        an observer that asked for the column before any observer had drawn
+        the chunk's arrivals got the previous chunk's pages."""
+        from repro.simulation.engine import MultiPolicySimulator
+        from repro.simulation.request import write_request
+
+        stream = [
+            write_request(page=(seq * 7) % 500)
+            if seq % 6 == 0
+            else read_request(page=(seq * 31) % 500)
+            for seq in range(9_000)  # three engine chunks, the last one short
+        ]
+        model = _poisson_model(3_000.0, device="hdd", page_span=500)
+
+        def run(columnar):
+            policies = [
+                create_policy("SHARDED", capacity=40, policy="LRU", shards=shards)
+                for shards in (4, 2, 3)
+            ]
+            simulator = MultiPolicySimulator(
+                policies, queueing_model=model, columnar=columnar
+            )
+            return [result.queueing for result in simulator.run(stream)]
+
+        assert run(True) == run(False)
 
     def test_observer_histograms_use_shared_buckets(self):
         stats = QueueingStats()

@@ -19,20 +19,24 @@ Two families of hint-set/request strategies exist on purpose:
 
 from __future__ import annotations
 
+import numpy as np
 from hypothesis import strategies as st
 
 from repro.core.config import CLICConfig
 from repro.core.hints import EMPTY_HINT_SET, HintSet
-from repro.simulation.request import IORequest, RequestKind
+from repro.simulation.request import IORequest, RequestKind, read_request, write_request
+from repro.trace.columnar import ColumnarChunk
 from repro.trace.records import Trace
 
 __all__ = [
     "capacities",
+    "chunked",
     "clic_configs",
     "hint_sets",
     "hint_values",
     "io_requests",
     "page_hint_event_streams",
+    "priced_streams",
     "request_streams",
     "rich_hint_sets",
     "rich_hint_values",
@@ -161,3 +165,37 @@ def page_hint_event_streams(
         st.booleans(),
     )
     return st.lists(events, min_size=min_size, max_size=max_size)
+
+
+@st.composite
+def priced_streams(draw, max_page: int = 320, max_size: int = 120):
+    """``(requests, hits, cuts)`` for pricing and queueing properties.
+
+    A read/write stream over three clients (so client routing has work),
+    its hit bits — drawn independently of any cache, and sometimes all
+    hits, so whole chunks never reach the device — and sorted chunk cut
+    points for :func:`chunked` (repeated cuts give empty chunks).
+    """
+    n = draw(st.integers(min_value=0, max_value=max_size))
+    pages = draw(st.lists(st.integers(0, max_page), min_size=n, max_size=n))
+    writes = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    clients = draw(st.lists(st.sampled_from("abc"), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        hits = [True] * n
+    else:
+        hits = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    requests = [
+        (write_request if write else read_request)(page=page, client_id=client)
+        for page, write, client in zip(pages, writes, clients)
+    ]
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=6)))
+    return requests, hits, cuts
+
+
+def chunked(requests: list[IORequest], hits: list[bool], cuts: list[int]):
+    """``(offset, chunk, hit column)`` per chunk of *requests* split at
+    *cuts* (chunk sequence numbers continue from 0)."""
+    bounds = [0, *cuts, len(requests)]
+    for start, stop in zip(bounds, bounds[1:]):
+        chunk = ColumnarChunk.from_requests(requests[start:stop], start)
+        yield start, chunk, np.array(hits[start:stop], dtype=np.bool_)
